@@ -35,11 +35,11 @@ class CutFunction:
             self.v = e[:, 1].astype(np.int64)
             self.w = e[:, 2]
         elif self.kind == "hypergraph-cut":
-            self.members = [np.asarray(h["members"], dtype=np.int64) for h in obj["edges"]]
+            members = [np.asarray(h["members"], dtype=np.int64) for h in obj["edges"]]
             self.w = np.asarray([h["w"] for h in obj["edges"]], dtype=np.float64)
-            self.sizes = np.asarray([len(m) for m in self.members], dtype=np.int64)
-            self.edge_of = np.repeat(np.arange(len(self.members)), self.sizes)
-            self.flat = np.concatenate(self.members) if self.members else np.zeros(0, np.int64)
+            self.sizes = np.asarray([len(m) for m in members], dtype=np.int64)
+            self.edge_of = np.repeat(np.arange(len(members)), self.sizes)
+            self.flat = np.concatenate(members) if members else np.zeros(0, np.int64)
         else:
             raise ValueError(f"no independent evaluator for instance type {self.kind!r}")
 

@@ -24,9 +24,6 @@ from pathlib import Path
 from symsubmax import generators
 from symsubmax.oracle import graph_cut_oracle, hypergraph_cut_oracle, save_instance
 
-WORKLOADS = ("graph-card", "hyper-matroid", "small-exact")
-
-
 @dataclass
 class Job:
     """One CLI call. `tight_k` marks a run on `tight_example(tight_k)`."""
@@ -249,6 +246,7 @@ _BUILDERS = {
     "hyper-matroid": _hyper_matroid,
     "small-exact": _small_exact,
 }
+WORKLOADS = tuple(_BUILDERS)
 
 
 def build(workload, seed, corpus_dir, smoke=False):
