@@ -1,16 +1,16 @@
-"""Seeded corpora and job lists for the three benchmark workloads.
+"""Seeded corpora and job lists for the two benchmark workloads.
 
 A corpus is a set of instance files (written with ``save_instance``) and
 constraint files (plain JSON in the CLI's constraint format). A job is one
 ``symsubmax`` CLI invocation over those files. Everything derives from the
 workload seed, so one seed always gives the same files and the same jobs.
 
-Sizes are chosen so that one round of a workload's job list takes a few
-seconds on a 2-core machine at the seed commit, and so that the cost of a
-round varies little between seeds: graph sizes and edge counts are held
-within a few percent, only the random draws change, and knapsack weights
-are a seeded permutation of a fixed list, so the number of feasible
-enumeration seeds is the same for every seed.
+Sizes are chosen so that no job takes much more than 150 ms and a round
+of a workload's job list about a second on a 2-core machine at the seed
+commit, and so that the cost of a round varies little between seeds: edge
+counts stay within a few percent of their mean, only the random draws
+change, and knapsack weights are a seeded permutation of a fixed list, so
+the number of feasible enumeration seeds is the same for every seed.
 """
 
 from __future__ import annotations
@@ -72,15 +72,18 @@ class _Writer:
         self.generator_s += time.perf_counter() - t0
         return out
 
-    def graph(self, name, n, p):
-        """random_graph(n, p), redrawn until its edge count is within 5% of
-        the mean n(n-1)p/2. Query and table costs grow with the edge count,
-        which on small graphs varies by 10-20% between plain draws."""
+    def graph(self, name, n, p, draws=8):
+        """The one of `draws` random_graph(n, p) draws whose edge count is
+        closest to the mean n(n-1)p/2 (the first on a tie). Query and table
+        costs grow with the edge count, which on small graphs varies by
+        10-20% between plain draws. The number of draws is fixed, so that
+        set-up does the same work for every seed."""
         mean = p * n * (n - 1) / 2
-        while True:
-            g = self._timed(generators.random_graph, n, p, (0.0, 2.0), seed=self.next_seed())
-            if abs(len(g.edges) - mean) <= 0.05 * mean:
-                break
+        candidates = [
+            self._timed(generators.random_graph, n, p, (0.0, 2.0), seed=self.next_seed())
+            for _ in range(draws)
+        ]
+        g = min(candidates, key=lambda c: abs(len(c.edges) - mean))
         save_instance(graph_cut_oracle(g), self.dir / name)
         return name
 
@@ -128,12 +131,16 @@ def _partition(n, parts, limits):
 
 
 def _graph_card(w, smoke):
+    # Sparse graphs (100-150 edges) keep every job near 100 ms or less: on a
+    # shared CPU a short job is more often timed whole at the fast speed, and
+    # the metrics take each job's fastest repetition.
     sizes = [(200, 0.02, 2), (100, 0.05, 4)]
     if not smoke:
-        sizes = [(1000, 0.001, 2), (300, 0.01, 4), (100, 0.1, 10)]
+        sizes = [(1000, 0.0002, 2), (300, 0.003, 4), (100, 0.03, 10)]
     jobs = []
     for n, p, k in sizes:
-        inst = w.graph(f"g{n}.json", n, p)
+        # A draw of the n = 1000 graph costs about 50 ms, the others a few ms.
+        inst = w.graph(f"g{n}.json", n, p, draws=3 if n >= 1000 else 8)
         card = w.constraint(f"card{k}-{n}.json", {"type": "cardinality", "k": k})
         jobs.append(Job(f"greedy-g{n}", "solve", inst, card, "greedy-card"))
     # sample-greedy on the largest and the smallest graph
@@ -143,36 +150,10 @@ def _graph_card(w, smoke):
             Job(f"sample-g{n}", "solve", f"g{n}.json", card, "sample-greedy-card",
                 epsilon=eps, seed=w.seed)
         )
-    for k in [10] if smoke else [10, 16]:
+    for k in [10] if smoke else [10, 12]:
         inst = w.tight(f"tight{k}.json", k)
         card = w.constraint(f"card{k}-tight.json", {"type": "cardinality", "k": k})
         jobs.append(Job(f"tight{k}", "solve", inst, card, "greedy-card", tight_k=k))
-    return jobs
-
-
-def _hyper_matroid(w, smoke):
-    # (n, hyperedges, max arity, matroid, epsilon). The high-rank, few-edge
-    # specs make the exchange step a real share of the run; the large ones
-    # make the whole-set evals and marginals dominate.
-    specs = [
-        (60, 300, 4, _partition(60, 3, [2, 2, 2]), 0.2),
-        (80, 300, 5, {"type": "uniform-matroid", "k": 5}, 0.2),
-    ]
-    if not smoke:
-        specs = [
-            (100, 1000, 5, _partition(100, 5, [2] * 5), 0.1),
-            (150, 300, 4, {"type": "uniform-matroid", "k": 40}, 0.6),
-            (200, 400, 4, _partition(200, 10, [3] * 10), 0.5),
-            (300, 1000, 5, _partition(300, 8, [3] * 8), 0.4),
-            (400, 1000, 5, {"type": "uniform-matroid", "k": 16}, 0.3),
-            (500, 1000, 5, _partition(500, 8, [2] * 8), 0.3),
-        ]
-    jobs = []
-    for n, m, arity, matroid, eps in specs:
-        inst = w.hypergraph(f"h{n}.json", n, m, arity)
-        cons = w.constraint(f"matroid-{n}.json", matroid)
-        kind = matroid["type"].split("-")[0]
-        jobs.append(Job(f"matroid-{kind}-h{n}", "solve", inst, cons, "greedy-matroid", epsilon=eps))
     return jobs
 
 
@@ -195,22 +176,25 @@ def _small_exact(w, smoke):
             Job("verify-hA", "verify", "hA.json"),
         ]
     w.graph("gA.json", 16, 0.4)
-    w.graph("gB.json", 20, 0.15)
-    w.graph("gC.json", 22, 0.08)
+    # Sizes keep every job near 150 ms or less at the fast CPU speed (see
+    # _graph_card for why short jobs).
+    w.graph("gB.json", 18, 0.18)
+    w.graph("gC.json", 19, 0.11)
     w.hypergraph("hA.json", 14, 30, 4)
-    w.hypergraph("hB.json", 18, 40, 5)
-    w.hypergraph("hD.json", 26, 60, 5)
+    w.hypergraph("hB.json", 17, 40, 5)
+    w.hypergraph("hD.json", 23, 55, 5)
     w.constraint("card4.json", {"type": "cardinality", "k": 4})
     w.constraint("card5.json", {"type": "cardinality", "k": 5})
     w.constraint("card6.json", {"type": "cardinality", "k": 6})
     w.constraint("card10.json", {"type": "cardinality", "k": 10})
     w.constraint("card12.json", {"type": "cardinality", "k": 12})
     w.constraint("uni4-hA.json", {"type": "uniform-matroid", "k": 4})
+    w.constraint("uni10-hD.json", {"type": "uniform-matroid", "k": 10})
     w.constraint("part-gA.json", _partition(16, 4, [1, 1, 1, 1]))
     w.packing("pack-gA.json", 16, 2, 3.0)
-    w.knapsack("knap-gB.json", 20, 0.25)
-    w.knapsack("knap-hB.json", 18, 0.3)
-    w.knapsack("knap-hD.json", 26, 0.2)
+    w.knapsack("knap-gB.json", 18, 0.25)
+    w.knapsack("knap-hB.json", 17, 0.3)
+    w.knapsack("knap-hD.json", 23, 0.2)
     E = dict(exact=True)
     return [
         Job("greedy-gA", "solve", "gA.json", "card4.json", "greedy-card", **E),
@@ -229,6 +213,8 @@ def _small_exact(w, smoke):
             epsilon=0.2, **E),
         Job("matroid-hA", "solve", "hA.json", "uni4-hA.json", "greedy-matroid",
             epsilon=0.2, **E),
+        # rank 10 of n = 23: the one job whose matroid exchange step has weight
+        Job("matroid-hD", "solve", "hD.json", "uni10-hD.json", "greedy-matroid", epsilon=0.3),
         Job("mw-pack-gA", "solve", "gA.json", "pack-gA.json", "mw-packing", epsilon=0.3, **E),
         Job("mw-knap-hB", "solve", "hB.json", "knap-hB.json", "mw-packing", epsilon=0.3, **E),
         Job("mw-knap-hD", "solve", "hD.json", "knap-hD.json", "mw-packing", epsilon=0.3),
@@ -243,7 +229,6 @@ def _small_exact(w, smoke):
 
 _BUILDERS = {
     "graph-card": _graph_card,
-    "hyper-matroid": _hyper_matroid,
     "small-exact": _small_exact,
 }
 WORKLOADS = tuple(_BUILDERS)

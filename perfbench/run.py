@@ -1,6 +1,6 @@
 """End-to-end and per-layer benchmark of the `symsubmax` CLI.
 
-    python3 perfbench/run.py --workload graph-card --seed 1 --seconds 30 --trace 0
+    python3 perfbench/run.py --workload graph-card --seed 1 --seconds 50 --trace 0
 
 Run from the repository root. The benchmark imports the package from the
 `src` directory next to its own directory, writes a seeded corpus, then
@@ -40,7 +40,7 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 SRC = HERE.parent / "src"
 OUT = HERE / "out"
-SETUP_REPS_PER_ROUND = 2
+SETUP_REPS = 20  # set-up repetitions in a run, besides the first
 
 
 def _import_package():
@@ -156,14 +156,18 @@ def run_workload(workload, seed, seconds, trace, work_dir, smoke=False):
     # A traced run alternates untraced and traced rounds; the untraced ones
     # are the reference for the tracing overhead.
     rounds, plain, probe_s = [], [], []
+    job_s = 0.0
 
     def run_round(tracer=None):
+        nonlocal job_s
         first = len(jobs) * (1 + len(rounds) + len(plain))  # job id of the round's first job
         probe_s.append(_cpu_probe())
         outcomes = _run_round(jobs, corpus_dir, report_dir, checker, tracer, first)
-        # Set-up is repeated between rounds, into a spare directory, so that
-        # its median samples the whole run rather than one moment of it.
-        for _ in range(SETUP_REPS_PER_ROUND):
+        job_s += sum(o.seconds for o in outcomes)
+        # Set-up is repeated into a spare directory after every `seconds /
+        # SETUP_REPS` of job time, so that its fastest repetition is taken
+        # over the whole run, like the jobs'.
+        if job_s >= len(setup_s) * seconds / SETUP_REPS:
             _, s, g = _build(workload, seed, work_dir / "setup", smoke)
             setup_s.append(s)
             generator_s.append(g)
@@ -217,7 +221,7 @@ def run_workload(workload, seed, seconds, trace, work_dir, smoke=False):
             "jobs_per_s": (len(best) / sum(best), "jobs/s"),
             "solve_ms_p50": (1e3 * statistics.median(best), "ms"),
             "queries_per_job": (statistics.fmean(solve_queries) if solve_queries else 0.0, "queries"),
-            "setup_s": (statistics.median(setup_s), "s"),
+            "setup_s": (min(setup_s), "s"),
             "peak_rss_mb": (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, "MB"),
         }
     return result
