@@ -18,7 +18,6 @@ from .constraints import (
     UniformMatroid,
     load_constraint,
     parse_constraint,
-    width,
 )
 from .exact import ExactResult, brute_force_opt, ratio
 from .generators import random_graph, random_hypergraph, tight_example
@@ -69,5 +68,4 @@ __all__ = [
     "table_oracle",
     "tight_example",
     "validate",
-    "width",
 ]

@@ -19,9 +19,7 @@ import math
 import random
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .constraints import ExtendedMatroid, UndefinedWidthError
+from .constraints import ExtendedMatroid
 from .oracle import EQ_TOL
 
 
@@ -103,7 +101,7 @@ def delete(oracle, S, fS=None, protected=frozenset()):
     return S, fS
 
 
-# -- Algorithm: greedy under cardinality ----------------------------------------
+# -- Algorithms: greedy and sample greedy under cardinality ---------------------
 
 
 def greedy_cardinality(oracle, k):
@@ -112,40 +110,7 @@ def greedy_cardinality(oracle, k):
     n = oracle.n
     if not 1 <= k <= n:
         raise ParameterError(f"need 1 <= k <= n, got k={k}, n={n}")
-    start_q = oracle.query_count
-    S = set()
-    fS = oracle.eval(S)
-    rounds = []
-    for i in range(1, k + 1):
-        best_u, best_gain = None, None
-        for u in sorted(set(range(n)) - S):
-            gain = oracle.marginal(u, S, fS)
-            # ties within EQ_TOL keep the earlier (lowest) id
-            if best_gain is None or gain > best_gain + EQ_TOL:
-                best_u, best_gain = u, gain
-        before = set(S) | {best_u}
-        S, fS = delete(oracle, before, fS + best_gain)
-        rounds.append(
-            Round(
-                index=i,
-                selected=best_u,
-                before_delete=_sorted_tuple(before),
-                after_delete=_sorted_tuple(S),
-                value=fS,
-                cum_queries=oracle.query_count - start_q,
-            )
-        )
-    return RunTrace(
-        algorithm="greedy-card",
-        params={"k": k, "n": n},
-        rounds=rounds,
-        final_set=_sorted_tuple(S),
-        final_value=fS,
-        total_queries=oracle.query_count - start_q,
-    )
-
-
-# -- Algorithm: sample greedy under cardinality ---------------------------------
+    return _cardinality_rounds(oracle, k, "greedy-card", {"k": k, "n": n})
 
 
 def sample_greedy_cardinality(oracle, k, epsilon, seed=0):
@@ -159,22 +124,38 @@ def sample_greedy_cardinality(oracle, k, epsilon, seed=0):
         raise ParameterError(f"need 0 < epsilon < 1, got {epsilon}")
     r = math.ceil((n / k) * math.log(1.0 / epsilon))
     rng = random.Random(seed)
+
+    def draw(pool):
+        return pool if r >= len(pool) else sorted(rng.sample(pool, r))
+
+    params = {"k": k, "n": n, "epsilon": epsilon, "seed": seed, "r": r}
+    return _cardinality_rounds(oracle, k, "sample-greedy-card", params, draw)
+
+
+def _cardinality_rounds(oracle, k, algorithm, params, draw=None):
+    """The round loop both cardinality solvers share.
+
+    Each of the k rounds scans the elements outside S in ascending id, or
+    only the subset `draw(pool)` of them (recorded in the round's extras),
+    picks the largest marginal, then runs Delete.
+    """
     start_q = oracle.query_count
     S = set()
     fS = oracle.eval(S)
     rounds = []
     for i in range(1, k + 1):
-        pool = sorted(set(range(n)) - S)
-        if r >= len(pool):
-            sample = pool
-        else:
-            sample = sorted(rng.sample(pool, r))
+        cands = sorted(set(range(oracle.n)) - S)
+        extras = {}
+        if draw is not None:
+            cands = draw(cands)
+            extras = {"sample": list(cands)}
         best_u, best_gain = None, None
-        for u in sample:
+        for u in cands:
             gain = oracle.marginal(u, S, fS)
+            # ties within EQ_TOL keep the earlier (lowest) id
             if best_gain is None or gain > best_gain + EQ_TOL:
                 best_u, best_gain = u, gain
-        before = set(S) | {best_u}
+        before = S | {best_u}
         S, fS = delete(oracle, before, fS + best_gain)
         rounds.append(
             Round(
@@ -184,12 +165,12 @@ def sample_greedy_cardinality(oracle, k, epsilon, seed=0):
                 after_delete=_sorted_tuple(S),
                 value=fS,
                 cum_queries=oracle.query_count - start_q,
-                extras={"sample": list(sample)},
+                extras=extras,
             )
         )
     return RunTrace(
-        algorithm="sample-greedy-card",
-        params={"k": k, "n": n, "epsilon": epsilon, "seed": seed, "r": r},
+        algorithm=algorithm,
+        params=params,
         rounds=rounds,
         final_set=_sorted_tuple(S),
         final_value=fS,
@@ -417,8 +398,8 @@ def knapsack_enum(oracle, knapsack, epsilon=0.1):
             j for j in range(n) if j not in T and weights[j] <= cap and weights[j] <= residual
         ]
         if allowed and residual >= 0:
-            sub = _restricted_packing(weights, residual, allowed, n)
-            if sub is None:
+            sub, _ = knapsack.to_packing(residual, allowed)
+            if not sub.A.any():
                 # every allowed element has zero weight: extend freely
                 cand_set, cand_val = _free_extend(oracle, T, seed_val, allowed)
             else:
@@ -452,19 +433,6 @@ def knapsack_enum(oracle, knapsack, epsilon=0.1):
         final_value=best_val,
         total_queries=oracle.query_count - start_q,
     )
-
-
-def _restricted_packing(weights, residual, allowed, n):
-    from .constraints import PackingConstraint
-
-    pos = [weights[j] for j in allowed if weights[j] > 0]
-    if not pos:
-        return None
-    maxw = max(pos)
-    row = [0.0] * n
-    for j in allowed:
-        row[j] = weights[j] / maxw
-    return PackingConstraint(np.array([row]), np.array([residual / maxw]))
 
 
 def _free_extend(oracle, T, fT, allowed):

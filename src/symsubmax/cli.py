@@ -15,20 +15,63 @@ import io
 import json
 import sys
 import time
+from typing import Callable, NamedTuple
 
 from . import algorithms, constraints, exact, generators, oracle as oracle_mod
-
-ALGORITHMS = {
-    "greedy-card",
-    "sample-greedy-card",
-    "greedy-matroid",
-    "mw-packing",
-    "knapsack-enum",
-}
 
 
 class UsageError(Exception):
     pass
+
+
+class Solver(NamedTuple):
+    accepts: tuple  # constraint classes
+    needs_epsilon: bool
+    run: Callable  # (oracle, constraint, args) -> RunTrace
+
+
+def _mw_packing(orc, cons, args):
+    allowed = None
+    if isinstance(cons, constraints.KnapsackConstraint):
+        cons, allowed = cons.to_packing()
+    return algorithms.mw_packing(
+        orc, cons, args.epsilon, lambda_override=args.lambda_override, allowed=allowed
+    )
+
+
+# Each call looks its solver up in `algorithms` when it runs, so that a solver
+# swapped on the module (e.g. by a tracer) is the one that runs.
+SOLVERS = {
+    "greedy-card": Solver(
+        (constraints.CardinalityConstraint,),
+        needs_epsilon=False,
+        run=lambda orc, cons, args: algorithms.greedy_cardinality(orc, cons.k),
+    ),
+    "sample-greedy-card": Solver(
+        (constraints.CardinalityConstraint,),
+        needs_epsilon=True,
+        run=lambda orc, cons, args: algorithms.sample_greedy_cardinality(
+            orc, cons.k, args.epsilon, seed=args.seed
+        ),
+    ),
+    "greedy-matroid": Solver(
+        (constraints.Matroid,),
+        needs_epsilon=True,
+        run=lambda orc, cons, args: algorithms.greedy_matroid(orc, cons, args.epsilon),
+    ),
+    "mw-packing": Solver(
+        (constraints.PackingConstraint, constraints.KnapsackConstraint),
+        needs_epsilon=True,
+        run=_mw_packing,
+    ),
+    "knapsack-enum": Solver(
+        (constraints.KnapsackConstraint,),
+        needs_epsilon=False,
+        run=lambda orc, cons, args: algorithms.knapsack_enum(
+            orc, cons, epsilon=0.1 if args.epsilon is None else args.epsilon
+        ),
+    ),
+}
 
 
 def _hash_file(path):
@@ -48,81 +91,66 @@ def _write_report(report, out):
 def _load(instance_path, constraint_path):
     orc = oracle_mod.load_instance(instance_path)
     cons = constraints.load_constraint(constraint_path, n=orc.n)
+    size = getattr(cons, "n", orc.n)  # a cardinality bound has no ground set
+    if size != orc.n:
+        raise UsageError(f"constraint covers {size} elements, instance has n={orc.n}")
     return orc, cons
 
 
-def _run_solver(orc, cons, args):
-    algo = args.algorithm
-    if algo == "greedy-card":
-        if not isinstance(cons, constraints.CardinalityConstraint):
-            raise UsageError("greedy-card requires a cardinality constraint")
-        return algorithms.greedy_cardinality(orc, cons.k)
-    if algo == "sample-greedy-card":
-        if not isinstance(cons, constraints.CardinalityConstraint):
-            raise UsageError("sample-greedy-card requires a cardinality constraint")
-        if args.epsilon is None:
-            raise UsageError("sample-greedy-card requires --epsilon")
-        return algorithms.sample_greedy_cardinality(
-            orc, cons.k, args.epsilon, seed=args.seed
+class Solved(NamedTuple):
+    oracle: object
+    constraint: object
+    trace: object
+    elapsed_ms: float
+    exact: object  # ExactResult, or None when not asked for
+    ratio: object  # float or "vacuous", or None when not asked for
+
+
+def _solve(instance_path, constraint_path, args, with_exact):
+    """Load, run and time the solver, then attach the brute-force optimum
+    when asked for."""
+    orc, cons = _load(instance_path, constraint_path)
+    solver = SOLVERS.get(args.algorithm)
+    if solver is None:
+        raise UsageError(f"unknown algorithm {args.algorithm!r}")
+    if not isinstance(cons, solver.accepts):
+        kinds = " or ".join(
+            c.__name__.removesuffix("Constraint").lower() for c in solver.accepts
         )
-    if algo == "greedy-matroid":
-        if not isinstance(cons, constraints.Matroid):
-            raise UsageError("greedy-matroid requires a matroid constraint")
-        if args.epsilon is None:
-            raise UsageError("greedy-matroid requires --epsilon")
-        return algorithms.greedy_matroid(orc, cons, args.epsilon)
-    if algo == "mw-packing":
-        if isinstance(cons, constraints.KnapsackConstraint):
-            packing, allowed = cons.to_packing()
-            if args.epsilon is None:
-                raise UsageError("mw-packing requires --epsilon")
-            return algorithms.mw_packing(
-                orc,
-                packing,
-                args.epsilon,
-                lambda_override=args.lambda_override,
-                allowed=allowed,
-            )
-        if not isinstance(cons, constraints.PackingConstraint):
-            raise UsageError("mw-packing requires a packing or knapsack constraint")
-        if args.epsilon is None:
-            raise UsageError("mw-packing requires --epsilon")
-        return algorithms.mw_packing(
-            orc, packing=cons, epsilon=args.epsilon, lambda_override=args.lambda_override
-        )
-    if algo == "knapsack-enum":
-        if not isinstance(cons, constraints.KnapsackConstraint):
-            raise UsageError("knapsack-enum requires a knapsack constraint")
-        eps = args.epsilon if args.epsilon is not None else 0.1
-        return algorithms.knapsack_enum(orc, cons, epsilon=eps)
-    raise UsageError(f"unknown algorithm {algo!r}")
+        raise UsageError(f"{args.algorithm} requires a {kinds} constraint")
+    if solver.needs_epsilon and args.epsilon is None:
+        raise UsageError(f"{args.algorithm} requires --epsilon")
+    t0 = time.perf_counter()
+    trace = solver.run(orc, cons, args)
+    elapsed_ms = (time.perf_counter() - t0) * 1000.0
+    res = rat = None
+    if with_exact:
+        res = exact.brute_force_opt(orc, cons)
+        rat = exact.ratio(trace, res)
+        rat = "vacuous" if rat == exact.VACUOUS else rat
+    return Solved(orc, cons, trace, elapsed_ms, res, rat)
 
 
 def cmd_solve(args):
-    orc, cons = _load(args.instance, args.constraint)
-    t0 = time.perf_counter()
-    trace = _run_solver(orc, cons, args)
-    elapsed_ms = (time.perf_counter() - t0) * 1000.0
-    feasible = cons.is_feasible(trace.final_set)
+    run = _solve(args.instance, args.constraint, args, args.exact)
+    feasible = run.constraint.is_feasible(run.trace.final_set)
     report = {
         "command": "solve",
         "instance": args.instance,
         "instance_sha256": _hash_file(args.instance),
-        "constraint": constraints.constraint_to_dict(cons),
+        "constraint": constraints.constraint_to_dict(run.constraint),
         "algorithm": args.algorithm,
         "feasible": feasible,
     }
-    report.update(trace.to_dict(include_rounds=args.trace))
+    report.update(run.trace.to_dict(include_rounds=args.trace))
     if args.lambda_override is not None:
         report["lambda_override"] = args.lambda_override
-    if args.exact:
-        res = exact.brute_force_opt(orc, cons)
-        rat = exact.ratio(trace, res)
-        report["opt_value"] = res.opt_value
-        report["opt_witness"] = list(res.witness)
-        report["ratio"] = "vacuous" if rat == exact.VACUOUS else rat
+    if run.exact is not None:
+        report["opt_value"] = run.exact.opt_value
+        report["opt_witness"] = list(run.exact.witness)
+        report["ratio"] = run.ratio
     if args.timing:
-        report["duration_ms"] = elapsed_ms
+        report["duration_ms"] = run.elapsed_ms
     _write_report(report, args.out)
     return 0 if feasible else 2
 
@@ -174,33 +202,31 @@ def cmd_tight_example(args):
 
 
 def _bench_row(entry):
+    if not isinstance(entry, dict) or not {"instance", "constraint", "algorithm"} <= entry.keys():
+        raise UsageError(f"manifest entry needs instance, constraint and algorithm: {entry!r}")
     ns = argparse.Namespace(
         algorithm=entry["algorithm"],
         epsilon=entry.get("epsilon"),
         seed=entry.get("seed", 0),
         lambda_override=entry.get("lambda_override"),
     )
-    orc, cons = _load(entry["instance"], entry["constraint"])
-    t0 = time.perf_counter()
-    trace = _run_solver(orc, cons, ns)
-    millis = (time.perf_counter() - t0) * 1000.0
+    run = _solve(entry["instance"], entry["constraint"], ns, entry.get("exact"))
+    cons = run.constraint
     k = getattr(cons, "k", getattr(cons, "rank", ""))
     opt_s, ratio_s = "", ""
-    if entry.get("exact"):
-        res = exact.brute_force_opt(orc, cons)
-        opt_s = f"{res.opt_value:.12g}"
-        rat = exact.ratio(trace, res)
-        ratio_s = "vacuous" if rat == exact.VACUOUS else f"{rat:.12g}"
+    if run.exact is not None:
+        opt_s = f"{run.exact.opt_value:.12g}"
+        ratio_s = run.ratio if run.ratio == "vacuous" else f"{run.ratio:.12g}"
     return [
         entry["instance"],
         entry["algorithm"],
-        orc.n,
+        run.oracle.n,
         k,
-        f"{trace.final_value:.12g}",
+        f"{run.trace.final_value:.12g}",
         opt_s,
         ratio_s,
-        trace.total_queries,
-        f"{millis:.3f}",
+        run.trace.total_queries,
+        f"{run.elapsed_ms:.3f}",
     ]
 
 
@@ -238,7 +264,7 @@ def build_parser():
     sp = sub.add_parser("solve", help="run a solver on an instance/constraint pair")
     sp.add_argument("--instance", required=True)
     sp.add_argument("--constraint", required=True)
-    sp.add_argument("--algorithm", required=True, choices=sorted(ALGORITHMS))
+    sp.add_argument("--algorithm", required=True, choices=sorted(SOLVERS))
     sp.add_argument("--epsilon", type=float)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--trace", action="store_true", help="include per-round trace")

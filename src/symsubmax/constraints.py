@@ -52,10 +52,10 @@ class KnapsackConstraint:
     budget: float
 
     def __post_init__(self):
-        if self.budget <= 0:
-            raise MalformedConstraintError("budget must be positive")
-        if any(w < 0 for w in self.weights):
-            raise MalformedConstraintError("weights must be non-negative")
+        if not 0 < self.budget < np.inf:
+            raise MalformedConstraintError("budget must be positive and finite")
+        if not all(0 <= w < np.inf for w in self.weights):
+            raise MalformedConstraintError("weights must be non-negative and finite")
 
     @property
     def n(self):
@@ -67,23 +67,23 @@ class KnapsackConstraint:
             raise MalformedConstraintError("element id outside weight vector")
         return sum(self.weights[j] for j in S) <= self.budget
 
-    def to_packing(self, budget=None):
+    def to_packing(self, budget=None, allowed=None):
         """Rescale to packing form with A entries in [0,1] and b >= 1.
 
-        Elements heavier than the budget can never be selected and get an
-        all-zero column paired with exclusion from `allowed`. Returns
-        (PackingConstraint, allowed ids). Preserves the feasible family over
-        the allowed elements exactly.
+        `budget` defaults to the knapsack's own and `allowed` to every
+        element that fits it; elements outside `allowed` get an all-zero
+        column, as does every element when all allowed weights are zero.
+        Returns (PackingConstraint, allowed ids). Preserves the feasible
+        family over the allowed elements exactly.
         """
         budget = self.budget if budget is None else budget
-        allowed = [j for j in range(self.n) if 0 < self.weights[j] <= budget or self.weights[j] == 0]
-        surviving = [self.weights[j] for j in allowed if self.weights[j] > 0]
-        if not surviving:
-            # all-zero weights: every subset of allowed is feasible
-            row = [0.0] * self.n
-            return PackingConstraint(np.array([row]), np.array([max(budget, 1.0)])), allowed
-        maxw = max(surviving)
+        if allowed is None:
+            allowed = [j for j in range(self.n) if self.weights[j] <= budget]
+        maxw = max((self.weights[j] for j in allowed), default=0.0)
         row = [0.0] * self.n
+        if maxw == 0:
+            # all-zero weights: every subset of allowed is feasible
+            return PackingConstraint(np.array([row]), np.array([max(budget, 1.0)])), allowed
         for j in allowed:
             row[j] = self.weights[j] / maxw
         return PackingConstraint(np.array([row]), np.array([budget / maxw])), allowed
@@ -95,10 +95,11 @@ class PackingConstraint:
         b = np.asarray(b, dtype=np.float64)
         if A.ndim != 2 or b.ndim != 1 or A.shape[0] != b.shape[0]:
             raise MalformedConstraintError("A must be m x n with b of length m")
-        if np.any(A < 0) or np.any(A > 1):
+        # written so that NaN fails the comparisons
+        if not np.all((A >= 0) & (A <= 1)):
             raise MalformedConstraintError("A entries must lie in [0, 1]")
-        if np.any(b < 1):
-            raise MalformedConstraintError("b entries must be >= 1")
+        if not np.all((b >= 1) & (b < np.inf)):
+            raise MalformedConstraintError("b entries must be finite and >= 1")
         self.A = A
         self.b = b
         self.m, self.n = A.shape
@@ -121,10 +122,6 @@ class PackingConstraint:
             raise UndefinedWidthError("packing matrix has no positive entry")
         ratios = np.where(pos, self.b[:, None] / np.where(pos, self.A, 1.0), np.inf)
         return float(ratios.min())
-
-
-def width(packing):
-    return packing.width()
 
 
 # -- matroids ------------------------------------------------------------------
@@ -304,11 +301,7 @@ class ExtendedMatroid:
         return g
 
 
-# -- feasibility dispatch and files --------------------------------------------
-
-
-def is_feasible(constraint, S):
-    return constraint.is_feasible(S)
+# -- files ---------------------------------------------------------------------
 
 
 def parse_constraint(obj, n=None):
@@ -316,20 +309,23 @@ def parse_constraint(obj, n=None):
     (needed by uniform matroids and sanity checks)."""
     try:
         kind = obj["type"]
-    except (KeyError, TypeError) as exc:
-        raise MalformedConstraintError(f"bad constraint object: {exc}") from exc
-    if kind == "cardinality":
-        return CardinalityConstraint(int(obj["k"]))
-    if kind == "uniform-matroid":
-        if n is None:
-            raise MalformedConstraintError("uniform matroid needs the ground-set size")
-        return UniformMatroid(int(obj["k"]), n)
-    if kind == "partition-matroid":
-        return PartitionMatroid(obj["parts"], obj["limits"])
-    if kind == "packing":
-        return PackingConstraint(obj["A"], obj["b"])
-    if kind == "knapsack":
-        return KnapsackConstraint(tuple(float(w) for w in obj["weights"]), float(obj["budget"]))
+        if kind == "cardinality":
+            return CardinalityConstraint(int(obj["k"]))
+        if kind == "uniform-matroid":
+            if n is None:
+                raise MalformedConstraintError("uniform matroid needs the ground-set size")
+            return UniformMatroid(int(obj["k"]), n)
+        if kind == "partition-matroid":
+            return PartitionMatroid(obj["parts"], obj["limits"])
+        if kind == "packing":
+            return PackingConstraint(obj["A"], obj["b"])
+        if kind == "knapsack":
+            weights = tuple(float(w) for w in obj["weights"])
+            return KnapsackConstraint(weights, float(obj["budget"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise MalformedConstraintError(
+            f"bad constraint object: {type(exc).__name__}: {exc}"
+        ) from exc
     raise MalformedConstraintError(f"unknown constraint type {kind!r}")
 
 

@@ -14,7 +14,6 @@ import numpy as np
 from .constraints import (
     CardinalityConstraint,
     KnapsackConstraint,
-    Matroid,
     PackingConstraint,
     PartitionMatroid,
     UniformMatroid,
@@ -38,9 +37,7 @@ class ExactResult:
 def feasible_mask_array(constraint, n):
     """Boolean array over all 2^n subset bitmasks, vectorized per family."""
     masks = np.arange(1 << n, dtype=np.int64)
-    if isinstance(constraint, CardinalityConstraint):
-        return np.bitwise_count(masks) <= constraint.k
-    if isinstance(constraint, UniformMatroid):
+    if isinstance(constraint, (CardinalityConstraint, UniformMatroid)):
         return np.bitwise_count(masks) <= constraint.k
     if isinstance(constraint, PartitionMatroid):
         ok = np.ones(len(masks), dtype=bool)

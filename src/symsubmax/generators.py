@@ -25,7 +25,6 @@ from .oracle import (
     WeightedGraph,
     WeightedHypergraph,
     graph_cut_oracle,
-    hypergraph_cut_oracle,
     instance_to_dict,
 )
 

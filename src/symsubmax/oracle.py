@@ -13,7 +13,6 @@ behalf.
 from __future__ import annotations
 
 import json
-import math
 import threading
 from dataclasses import dataclass, field
 
@@ -52,8 +51,10 @@ class WeightedGraph:
                 raise MalformedInstanceError(f"self-loop at vertex {u}")
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise MalformedInstanceError(f"edge ({u},{v}) outside 0..{self.n - 1}")
-            if w < 0:
-                raise MalformedInstanceError(f"negative weight {w} on edge ({u},{v})")
+            if not 0 <= w < np.inf:
+                raise MalformedInstanceError(
+                    f"weight {w} on edge ({u},{v}) is negative or not finite"
+                )
 
 
 @dataclass(frozen=True)
@@ -67,8 +68,8 @@ class WeightedHypergraph:
                 raise MalformedInstanceError("hyperedge needs at least 2 members")
             if not all(0 <= u < self.n for u in members):
                 raise MalformedInstanceError("hyperedge member outside ground set")
-            if w < 0:
-                raise MalformedInstanceError(f"negative hyperedge weight {w}")
+            if not 0 <= w < np.inf:
+                raise MalformedInstanceError(f"hyperedge weight {w} is negative or not finite")
 
 
 def _mask_of(S, n):
@@ -124,6 +125,8 @@ class Oracle:
                     f"table has {len(values)} entries, expected {1 << n}"
                 )
             self._table = np.asarray(values, dtype=np.float64)
+            if not np.isfinite(self._table).all():
+                raise MalformedInstanceError("table values must be finite")
         else:
             raise MalformedInstanceError(f"unknown oracle kind {kind!r}")
 
@@ -359,20 +362,22 @@ def parse_instance(obj):
     try:
         kind = obj["type"]
         n = int(obj["n"])
+        if n < 0:
+            raise MalformedInstanceError(f"n must be >= 0, got {n}")
+        if kind == "graph-cut":
+            edges = tuple((int(u), int(v), float(w)) for u, v, w in obj["edges"])
+            return graph_cut_oracle(WeightedGraph(n, edges))
+        if kind == "hypergraph-cut":
+            hyperedges = tuple(
+                (frozenset(int(u) for u in e["members"]), float(e["w"])) for e in obj["edges"]
+            )
+            return hypergraph_cut_oracle(WeightedHypergraph(n, hyperedges))
+        if kind == "table":
+            return table_oracle(n, [float(v) for v in obj["values"]])
     except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedInstanceError(f"bad instance object: {exc}") from exc
-    if n < 0:
-        raise MalformedInstanceError(f"n must be >= 0, got {n}")
-    if kind == "graph-cut":
-        edges = tuple((int(u), int(v), float(w)) for u, v, w in obj["edges"])
-        return graph_cut_oracle(WeightedGraph(n, edges))
-    if kind == "hypergraph-cut":
-        hyperedges = tuple(
-            (frozenset(int(u) for u in e["members"]), float(e["w"])) for e in obj["edges"]
-        )
-        return hypergraph_cut_oracle(WeightedHypergraph(n, hyperedges))
-    if kind == "table":
-        return table_oracle(n, [float(v) for v in obj["values"]])
+        raise MalformedInstanceError(
+            f"bad instance object: {type(exc).__name__}: {exc}"
+        ) from exc
     raise MalformedInstanceError(f"unknown instance type {kind!r}")
 
 

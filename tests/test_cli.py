@@ -221,10 +221,53 @@ def test_bench_command(tmp_path, k3_file, card2_file):
     assert int(row1[7]) <= 1 * (3 + 1 + 2)
 
 
-def test_bench_bad_manifest(tmp_path):
+def test_bench_bad_manifest(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["bench", "--manifest", str(bad)]) == 1
+    capsys.readouterr()
+    # entries that are not objects, or that lack a required field
+    for entry in (5, None, ["i.json", "c.json", "greedy-card"], {"instance": "i.json"}):
+        manifest = write_json(tmp_path / "manifest.json", [entry])
+        assert main(["bench", "--manifest", manifest]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
+C4 = {"type": "graph-cut", "n": 4, "edges": [[0, 1, 1.0], [1, 2, 1.0], [2, 3, 1.0], [0, 3, 1.0]]}
+NAN_EDGE = {"type": "graph-cut", "n": 2, "edges": [[0, 1, float("nan")]]}
+NO_WEIGHT = {"type": "graph-cut", "n": 2, "edges": [[0, 1]]}
+CARD1 = {"type": "cardinality", "k": 1}
+
+
+@pytest.mark.parametrize(
+    "command, instance, constraint",
+    [
+        # hypergraph spelled {"vertices", "weight"} instead of {"members", "w"}
+        (
+            "verify",
+            {"type": "hypergraph-cut", "n": 3, "edges": [{"vertices": [0, 1, 2], "weight": 5.0}]},
+            None,
+        ),
+        ("verify", NO_WEIGHT, None),
+        ("solve", NO_WEIGHT, CARD1),
+        ("verify", NAN_EDGE, None),
+        ("solve", NAN_EDGE, CARD1),
+        # constraints over a different ground set than the instance's n = 4
+        ("exact", C4, {"type": "knapsack", "weights": [1, 1], "budget": 1}),
+        ("exact", C4, {"type": "partition-matroid", "parts": [[0], [1]], "limits": [1, 1]}),
+        ("exact", C4, {"type": "packing", "A": [[1.0, 1.0]], "b": [1.0]}),
+    ],
+)
+def test_bad_input_exits_1(tmp_path, capsys, command, instance, constraint):
+    argv = [command, "--instance", write_json(tmp_path / "i.json", instance)]
+    if constraint is not None:
+        argv += ["--constraint", write_json(tmp_path / "c.json", constraint)]
+    if command == "solve":
+        argv += ["--algorithm", "greedy-card"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_solve_missing_instance(card2_file):

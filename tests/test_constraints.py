@@ -206,6 +206,19 @@ def test_malformed_constraints_raise():
         PackingConstraint(np.array([[0.5]]), np.array([0.5]))  # b < 1
     with pytest.raises(MalformedConstraintError):
         KnapsackConstraint((1.0,), 0.0)
+    for bad in (
+        {"type": "knapsack", "weights": [1.0, float("nan")], "budget": 1.0},
+        {"type": "knapsack", "weights": [1.0, float("inf")], "budget": 1.0},
+        {"type": "knapsack", "weights": [1.0, 1.0], "budget": float("inf")},
+        {"type": "knapsack", "weights": [1.0, 1.0], "budget": float("nan")},
+        {"type": "packing", "A": [[0.5, float("nan")]], "b": [1.0]},
+        {"type": "packing", "A": [[0.5, 1.0]], "b": [float("inf")]},
+        {"type": "packing", "A": [[0.5, 1.0]], "b": [float("nan")]},
+        {"type": "cardinality"},  # missing k
+        {"type": "packing", "A": [["x"]], "b": [1.0]},
+    ):
+        with pytest.raises(MalformedConstraintError):
+            parse_constraint(bad, n=2)
     p = PackingConstraint(np.array([[0.5, 1.0]]), np.array([2.0]))
     with pytest.raises(MalformedConstraintError):
         p.is_feasible({5})  # dimension mismatch

@@ -169,6 +169,19 @@ def test_parse_rejects_bad_instances():
         WeightedGraph(2, ((0, 0, 1.0),))
     with pytest.raises(MalformedInstanceError):
         WeightedGraph(2, ((0, 1, -1.0),))
+    for bad in (
+        # hyperedges are spelled {"members", "w"}; other spellings are shape errors
+        {"type": "hypergraph-cut", "n": 3, "edges": [{"vertices": [0, 1], "weight": 1.0}]},
+        {"type": "hypergraph-cut", "n": 3, "edges": [[0, 1]]},
+        {"type": "graph-cut", "n": 2, "edges": [[0, 1]]},  # edge without a weight
+        {"type": "graph-cut", "n": 2, "edges": [[0, 1, math.nan]]},
+        {"type": "graph-cut", "n": 2, "edges": [[0, 1, math.inf]]},
+        {"type": "hypergraph-cut", "n": 3, "edges": [{"members": [0, 1], "w": math.nan}]},
+        {"type": "table", "n": 1, "values": [0.0, math.inf]},
+        {"type": "table", "n": 1, "values": [math.nan, 0.0]},
+    ):
+        with pytest.raises(MalformedInstanceError):
+            parse_instance(bad)
 
 
 def test_concurrent_counting():
