@@ -397,12 +397,12 @@ def knapsack_enum(oracle, knapsack, epsilon=0.1):
         allowed = [
             j for j in range(n) if j not in T and weights[j] <= cap and weights[j] <= residual
         ]
-        if allowed and residual >= 0:
-            sub, _ = knapsack.to_packing(residual, allowed)
-            if not sub.A.any():
+        if allowed:
+            if not any(weights[j] for j in allowed):
                 # every allowed element has zero weight: extend freely
                 cand_set, cand_val = _free_extend(oracle, T, seed_val, allowed)
             else:
+                sub, _ = knapsack.to_packing(residual, allowed)
                 trace = mw_packing(
                     oracle,
                     sub,

@@ -13,6 +13,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import sys
 import time
 from typing import Callable, NamedTuple
@@ -91,9 +92,7 @@ def _write_report(report, out):
 def _load(instance_path, constraint_path):
     orc = oracle_mod.load_instance(instance_path)
     cons = constraints.load_constraint(constraint_path, n=orc.n)
-    size = getattr(cons, "n", orc.n)  # a cardinality bound has no ground set
-    if size != orc.n:
-        raise UsageError(f"constraint covers {size} elements, instance has n={orc.n}")
+    constraints.check_ground_set(cons, orc.n)
     return orc, cons
 
 
@@ -107,8 +106,9 @@ class Solved(NamedTuple):
 
 
 def _solve(instance_path, constraint_path, args, with_exact):
-    """Load, run and time the solver, then attach the brute-force optimum
-    when asked for."""
+    """Load, run and time the solver, with the brute-force optimum when asked
+    for. The optimum comes first, so that its 2^n table serves the solver's
+    queries; the timing covers the solver alone."""
     orc, cons = _load(instance_path, constraint_path)
     solver = SOLVERS.get(args.algorithm)
     if solver is None:
@@ -120,12 +120,12 @@ def _solve(instance_path, constraint_path, args, with_exact):
         raise UsageError(f"{args.algorithm} requires a {kinds} constraint")
     if solver.needs_epsilon and args.epsilon is None:
         raise UsageError(f"{args.algorithm} requires --epsilon")
+    res = exact.brute_force_opt(orc, cons) if with_exact else None
     t0 = time.perf_counter()
     trace = solver.run(orc, cons, args)
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
-    res = rat = None
+    rat = None
     if with_exact:
-        res = exact.brute_force_opt(orc, cons)
         rat = exact.ratio(trace, res)
         rat = "vacuous" if rat == exact.VACUOUS else rat
     return Solved(orc, cons, trace, elapsed_ms, res, rat)
@@ -201,16 +201,35 @@ def cmd_tight_example(args):
     return 0
 
 
+def _is_finite_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+# bench manifest entry field -> (test its value must pass, what the test asks for)
+MANIFEST_FIELDS = {
+    "instance": (lambda v: isinstance(v, str), "a path"),
+    "constraint": (lambda v: isinstance(v, str), "a path"),
+    "algorithm": (lambda v: isinstance(v, str), "a solver name"),
+    "epsilon": (_is_finite_number, "a finite number"),
+    "lambda_override": (_is_finite_number, "a finite number"),
+    "seed": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    "exact": (lambda v: isinstance(v, bool), "true or false"),
+}
+
+
 def _bench_row(entry):
     if not isinstance(entry, dict) or not {"instance", "constraint", "algorithm"} <= entry.keys():
         raise UsageError(f"manifest entry needs instance, constraint and algorithm: {entry!r}")
+    for name, (ok, what) in MANIFEST_FIELDS.items():
+        if name in entry and not ok(entry[name]):
+            raise UsageError(f"manifest field {name} must be {what}, got {entry[name]!r}")
     ns = argparse.Namespace(
         algorithm=entry["algorithm"],
         epsilon=entry.get("epsilon"),
         seed=entry.get("seed", 0),
         lambda_override=entry.get("lambda_override"),
     )
-    run = _solve(entry["instance"], entry["constraint"], ns, entry.get("exact"))
+    run = _solve(entry["instance"], entry["constraint"], ns, entry.get("exact", False))
     cons = run.constraint
     k = getattr(cons, "k", getattr(cons, "rank", ""))
     opt_s, ratio_s = "", ""

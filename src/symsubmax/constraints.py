@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .oracle import as_int
+
 
 class ConstraintError(Exception):
     pass
@@ -24,7 +26,7 @@ class MalformedConstraintError(ConstraintError):
 
 
 class UndefinedWidthError(ConstraintError):
-    """Packing matrix has no positive entry."""
+    """Packing matrix, or knapsack over its allowed elements, has no positive entry."""
 
 
 class MatroidInvariantError(ConstraintError):
@@ -72,18 +74,17 @@ class KnapsackConstraint:
 
         `budget` defaults to the knapsack's own and `allowed` to every
         element that fits it; elements outside `allowed` get an all-zero
-        column, as does every element when all allowed weights are zero.
-        Returns (PackingConstraint, allowed ids). Preserves the feasible
-        family over the allowed elements exactly.
+        column. Returns (PackingConstraint, allowed ids). Preserves the
+        feasible family over the allowed elements exactly. Raises
+        UndefinedWidthError when every allowed weight is zero.
         """
         budget = self.budget if budget is None else budget
         if allowed is None:
             allowed = [j for j in range(self.n) if self.weights[j] <= budget]
         maxw = max((self.weights[j] for j in allowed), default=0.0)
-        row = [0.0] * self.n
         if maxw == 0:
-            # all-zero weights: every subset of allowed is feasible
-            return PackingConstraint(np.array([row]), np.array([max(budget, 1.0)])), allowed
+            raise UndefinedWidthError("no allowed knapsack element has a positive weight")
+        row = [0.0] * self.n
         for j in allowed:
             row[j] = self.weights[j] / maxw
         return PackingConstraint(np.array([row]), np.array([budget / maxw])), allowed
@@ -130,7 +131,6 @@ class PackingConstraint:
 class Matroid:
     """Independence oracle interface; subclasses define is_independent."""
 
-    kind = None
     rank = None
 
     def is_independent(self, S):
@@ -142,8 +142,6 @@ class Matroid:
 
 
 class UniformMatroid(Matroid):
-    kind = "uniform"
-
     def __init__(self, k, n):
         if k < 1 or k > n:
             raise MalformedConstraintError(f"uniform matroid needs 1 <= k <= n, got k={k}, n={n}")
@@ -159,8 +157,6 @@ class UniformMatroid(Matroid):
 
 
 class PartitionMatroid(Matroid):
-    kind = "partition"
-
     def __init__(self, parts, limits):
         parts = [frozenset(p) for p in parts]
         if len(parts) != len(limits):
@@ -310,13 +306,14 @@ def parse_constraint(obj, n=None):
     try:
         kind = obj["type"]
         if kind == "cardinality":
-            return CardinalityConstraint(int(obj["k"]))
+            return CardinalityConstraint(as_int(obj["k"]))
         if kind == "uniform-matroid":
             if n is None:
                 raise MalformedConstraintError("uniform matroid needs the ground-set size")
-            return UniformMatroid(int(obj["k"]), n)
+            return UniformMatroid(as_int(obj["k"]), n)
         if kind == "partition-matroid":
-            return PartitionMatroid(obj["parts"], obj["limits"])
+            parts = [[as_int(u) for u in p] for p in obj["parts"]]
+            return PartitionMatroid(parts, [as_int(l) for l in obj["limits"]])
         if kind == "packing":
             return PackingConstraint(obj["A"], obj["b"])
         if kind == "knapsack":
@@ -327,6 +324,16 @@ def parse_constraint(obj, n=None):
             f"bad constraint object: {type(exc).__name__}: {exc}"
         ) from exc
     raise MalformedConstraintError(f"unknown constraint type {kind!r}")
+
+
+def check_ground_set(constraint, n):
+    """Raise MalformedConstraintError unless the constraint is over n elements.
+
+    A cardinality bound has no ground set of its own and fits every n.
+    """
+    size = getattr(constraint, "n", n)
+    if size != n:
+        raise MalformedConstraintError(f"constraint covers {size} elements, instance has n={n}")
 
 
 def constraint_to_dict(c):

@@ -17,6 +17,7 @@ from .constraints import (
     PackingConstraint,
     PartitionMatroid,
     UniformMatroid,
+    check_ground_set,
 )
 from .oracle import TABLE_MAX_N, _set_of
 
@@ -61,21 +62,20 @@ def feasible_mask_array(constraint, n):
                     load += a * ((masks >> j) & 1)
             ok &= load <= constraint.b[i]
         return ok
-    # generic fallback: one python feasibility call per subset
-    return np.array(
-        [constraint.is_feasible(_set_of(int(m))) for m in masks], dtype=bool
-    )
+    raise TypeError(f"no feasibility table for {type(constraint).__name__}")
 
 
 def brute_force_opt(oracle, constraint):
     """Exact optimum over all feasible subsets.
 
     Ties on the optimal value resolve to the lexicographically smallest
-    witness (as a sorted id list). Uses the uncounted table; n <= 24.
+    witness (as a sorted id list). Uses the uncounted table; n <= 24. The
+    constraint must be over the oracle's ground set.
     """
     n = oracle.n
     if n > TABLE_MAX_N:
         raise InstanceTooLargeError(f"brute force capped at n={TABLE_MAX_N}, got {n}")
+    check_ground_set(constraint, n)
     vals = oracle.value_table()
     feasible = feasible_mask_array(constraint, n)
     if not feasible.any():

@@ -21,7 +21,6 @@ from fractions import Fraction
 import random
 
 from .oracle import (
-    Oracle,
     WeightedGraph,
     WeightedHypergraph,
     graph_cut_oracle,
@@ -134,16 +133,11 @@ def random_hypergraph(n, num_edges, max_arity, weight_range=(0.0, 1.0), seed=0):
     return WeightedHypergraph(n, tuple(hyperedges))
 
 
-def write_instance_with_sidecar(oracle_or_graph, path, sidecar):
-    """Write an instance file plus a `<path>.opt.json` sidecar describing the
-    certified optimum: {"optimal_value", "witness", "certified_by"}."""
-    obj = (
-        instance_to_dict(oracle_or_graph)
-        if isinstance(oracle_or_graph, Oracle)
-        else instance_to_dict(graph_cut_oracle(oracle_or_graph))
-    )
+def write_instance_with_sidecar(graph, path, sidecar):
+    """Write a graph instance file plus a `<path>.opt.json` sidecar describing
+    the certified optimum: {"optimal_value", "witness", "certified_by"}."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+        json.dump(instance_to_dict(graph_cut_oracle(graph)), fh, indent=2, sort_keys=True)
         fh.write("\n")
     with open(f"{path}.opt.json", "w", encoding="utf-8") as fh:
         json.dump(sidecar, fh, indent=2, sort_keys=True)

@@ -18,10 +18,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# Lazy full-table memoization kicks in below this ground-set size; 2^16
-# doubles is small and turns eval into an O(1) lookup.
-_TABLE_CACHE_MAX_N = 16
-
 # Hard cap for materializing all 2^n values (brute force, validation).
 TABLE_MAX_N = 24
 
@@ -70,6 +66,19 @@ class WeightedHypergraph:
                 raise MalformedInstanceError("hyperedge member outside ground set")
             if not 0 <= w < np.inf:
                 raise MalformedInstanceError(f"hyperedge weight {w} is negative or not finite")
+
+
+def as_int(x):
+    """x as an int when it is an int or a float with no fraction part.
+
+    Raises ValueError for a bool or anything else, so that a parser reading
+    JSON neither truncates 1.5 to 1 nor reads true as 1.
+    """
+    if isinstance(x, int) and not isinstance(x, bool):
+        return x
+    if isinstance(x, float) and x.is_integer():
+        return int(x)
+    raise ValueError(f"{x!r} is not a whole number")
 
 
 def _mask_of(S, n):
@@ -170,10 +179,9 @@ class Oracle:
         return self._value(mask | (1 << u)) - fS
 
     def _value(self, mask):
+        # a built table and direct evaluation agree bit for bit: both add the
+        # same weights in the same edge order, and adding 0.0 is exact
         if self._table is not None:
-            return float(self._table[mask])
-        if self.n <= _TABLE_CACHE_MAX_N:
-            self._table = self._build_table()
             return float(self._table[mask])
         return self._value_direct(mask)
 
@@ -196,7 +204,8 @@ class Oracle:
     def value_table(self):
         """All 2^n values as a float array indexed by subset bitmask.
 
-        Never counts queries. Refuses n > TABLE_MAX_N.
+        Never counts queries. Refuses n > TABLE_MAX_N. Once built, the
+        table also answers eval and marginal.
         """
         if self.n > TABLE_MAX_N:
             raise InvalidSetError(f"n={self.n} too large for full table (cap {TABLE_MAX_N})")
@@ -361,15 +370,16 @@ def parse_instance(obj):
     """Build an oracle from a parsed instance object (see file format docs)."""
     try:
         kind = obj["type"]
-        n = int(obj["n"])
+        n = as_int(obj["n"])
         if n < 0:
             raise MalformedInstanceError(f"n must be >= 0, got {n}")
         if kind == "graph-cut":
-            edges = tuple((int(u), int(v), float(w)) for u, v, w in obj["edges"])
+            edges = tuple((as_int(u), as_int(v), float(w)) for u, v, w in obj["edges"])
             return graph_cut_oracle(WeightedGraph(n, edges))
         if kind == "hypergraph-cut":
             hyperedges = tuple(
-                (frozenset(int(u) for u in e["members"]), float(e["w"])) for e in obj["edges"]
+                (frozenset(as_int(u) for u in e["members"]), float(e["w"]))
+                for e in obj["edges"]
             )
             return hypergraph_cut_oracle(WeightedHypergraph(n, hyperedges))
         if kind == "table":

@@ -221,13 +221,26 @@ def test_bench_command(tmp_path, k3_file, card2_file):
     assert int(row1[7]) <= 1 * (3 + 1 + 2)
 
 
-def test_bench_bad_manifest(tmp_path, capsys):
+def test_bench_bad_manifest(tmp_path, capsys, k3_file, card2_file):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["bench", "--manifest", str(bad)]) == 1
     capsys.readouterr()
-    # entries that are not objects, or that lack a required field
-    for entry in (5, None, ["i.json", "c.json", "greedy-card"], {"instance": "i.json"}):
+    run = {"instance": k3_file, "constraint": card2_file, "algorithm": "sample-greedy-card"}
+    # entries that are not objects, that lack a required field, or whose
+    # fields have the wrong type
+    for entry in (
+        5,
+        None,
+        ["i.json", "c.json", "greedy-card"],
+        {"instance": "i.json"},
+        {**run, "epsilon": "0.1"},
+        {**run, "epsilon": 0.1, "seed": "abc"},
+        {**run, "epsilon": 0.1, "exact": "no"},
+        {**run, "epsilon": 0.1, "lambda_override": float("nan")},
+        {**run, "epsilon": 0.1, "instance": [k3_file]},
+        {**run, "epsilon": 0.1, "algorithm": ["greedy-card"]},
+    ):
         manifest = write_json(tmp_path / "manifest.json", [entry])
         assert main(["bench", "--manifest", manifest]) == 1
         err = capsys.readouterr().err

@@ -216,6 +216,13 @@ def test_malformed_constraints_raise():
         {"type": "packing", "A": [[0.5, 1.0]], "b": [float("nan")]},
         {"type": "cardinality"},  # missing k
         {"type": "packing", "A": [["x"]], "b": [1.0]},
+        # sizes, ids and limits must be whole numbers, not truncated floats or booleans
+        {"type": "cardinality", "k": 2.9},
+        {"type": "cardinality", "k": True},
+        {"type": "uniform-matroid", "k": 1.5},
+        {"type": "partition-matroid", "parts": [[0], [1]], "limits": [1.7, 1]},
+        {"type": "partition-matroid", "parts": [[0], [1]], "limits": [True, 1]},
+        {"type": "partition-matroid", "parts": [[0], [True]], "limits": [1, 1]},
     ):
         with pytest.raises(MalformedConstraintError):
             parse_constraint(bad, n=2)

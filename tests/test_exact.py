@@ -13,6 +13,7 @@ from symsubmax import (
     random_graph,
     ratio,
 )
+from symsubmax.constraints import MalformedConstraintError
 from symsubmax.exact import VACUOUS, InstanceTooLargeError, feasible_mask_array
 
 
@@ -61,6 +62,12 @@ def test_restricting_constraint_never_helps():
         if prev is not None:
             assert res.opt_value <= prev + 1e-12
         prev = res.opt_value
+
+
+def test_constraint_over_another_ground_set_rejected(c4):
+    for cons in (KnapsackConstraint((1.0, 1.0), 1.0), PartitionMatroid([[0], [1]], [1, 1])):
+        with pytest.raises(MalformedConstraintError):
+            brute_force_opt(c4, cons)
 
 
 def test_feasible_mask_matches_python_checks():

@@ -179,6 +179,12 @@ def test_parse_rejects_bad_instances():
         {"type": "hypergraph-cut", "n": 3, "edges": [{"members": [0, 1], "w": math.nan}]},
         {"type": "table", "n": 1, "values": [0.0, math.inf]},
         {"type": "table", "n": 1, "values": [math.nan, 0.0]},
+        # ids and sizes must be whole numbers, not truncated floats or booleans
+        {"type": "graph-cut", "n": 2, "edges": [[0.5, 1, 1.0]]},
+        {"type": "graph-cut", "n": 2, "edges": [[True, 0, 1.0]]},
+        {"type": "graph-cut", "n": 2.5, "edges": []},
+        {"type": "graph-cut", "n": True, "edges": []},
+        {"type": "hypergraph-cut", "n": 3, "edges": [{"members": [0, 1.5], "w": 1.0}]},
     ):
         with pytest.raises(MalformedInstanceError):
             parse_instance(bad)
