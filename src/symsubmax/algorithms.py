@@ -278,8 +278,8 @@ def mw_packing(
         raise ParameterError(f"need 0 < epsilon < 1, got {epsilon}")
     W = packing.width()  # raises UndefinedWidthError on all-zero A
     lam = float(lambda_override) if lambda_override is not None else math.exp(epsilon * W)
-    if lam <= 1:
-        raise ParameterError("lambda must exceed 1")
+    if not lam > 1:  # NaN fails it too
+        raise ParameterError(f"lambda must exceed 1, got {lam}")
     universe = set(range(n)) if allowed is None else set(allowed)
     protected = frozenset(protected)
     start_q = oracle.query_count

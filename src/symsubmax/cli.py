@@ -120,6 +120,8 @@ def _solve(instance_path, constraint_path, args, with_exact):
         raise UsageError(f"{args.algorithm} requires a {kinds} constraint")
     if solver.needs_epsilon and args.epsilon is None:
         raise UsageError(f"{args.algorithm} requires --epsilon")
+    if args.lambda_override is not None and not math.isfinite(args.lambda_override):
+        raise UsageError(f"--lambda-override must be finite, got {args.lambda_override}")
     res = exact.brute_force_opt(orc, cons) if with_exact else None
     t0 = time.perf_counter()
     trace = solver.run(orc, cons, args)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .oracle import as_int
+from .oracle import as_float, as_int
 
 
 class ConstraintError(Exception):
@@ -315,10 +315,11 @@ def parse_constraint(obj, n=None):
             parts = [[as_int(u) for u in p] for p in obj["parts"]]
             return PartitionMatroid(parts, [as_int(l) for l in obj["limits"]])
         if kind == "packing":
-            return PackingConstraint(obj["A"], obj["b"])
+            A = [[as_float(a) for a in row] for row in obj["A"]]
+            return PackingConstraint(A, [as_float(b) for b in obj["b"]])
         if kind == "knapsack":
-            weights = tuple(float(w) for w in obj["weights"])
-            return KnapsackConstraint(weights, float(obj["budget"]))
+            weights = tuple(as_float(w) for w in obj["weights"])
+            return KnapsackConstraint(weights, as_float(obj["budget"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedConstraintError(
             f"bad constraint object: {type(exc).__name__}: {exc}"

@@ -19,7 +19,7 @@ from .constraints import (
     UniformMatroid,
     check_ground_set,
 )
-from .oracle import TABLE_MAX_N, _set_of
+from .oracle import TABLE_MAX_N, _bit_axes
 
 VACUOUS = math.inf
 
@@ -35,34 +35,65 @@ class ExactResult:
     sets_enumerated: int
 
 
+def _load_table(weights, dtype=np.float64):
+    """sum(weights[j] for j in S) for every subset bitmask S of the ids of
+    `weights`, each sum taken in ascending j.
+
+    Doubling: with bit j on, the first 2^(j+1) entries read as the first 2^j
+    plus weights[j]. Adding a zero weight is exact, as a load is never -0.0.
+    """
+    load = np.zeros(1 << len(weights), dtype=dtype)
+    for j, wj in enumerate(weights):
+        half = 1 << j
+        np.add(load[:half], wj, out=load[half : 2 * half])
+    return load
+
+
+def _member_count(ids, n):
+    """|S & ids| for every subset bitmask S (n <= 24 fits uint8)."""
+    return _load_table([int(j in ids) for j in range(n)], np.uint8)
+
+
 def feasible_mask_array(constraint, n):
-    """Boolean array over all 2^n subset bitmasks, vectorized per family."""
-    masks = np.arange(1 << n, dtype=np.int64)
+    """Boolean array over all 2^n subset bitmasks, vectorized per family.
+
+    The constraint must be over n elements.
+    """
+    check_ground_set(constraint, n)
     if isinstance(constraint, (CardinalityConstraint, UniformMatroid)):
-        return np.bitwise_count(masks) <= constraint.k
+        return _member_count(range(n), n) <= constraint.k
     if isinstance(constraint, PartitionMatroid):
-        ok = np.ones(len(masks), dtype=bool)
+        ok = np.ones(1 << n, dtype=bool)
         for part, limit in zip(constraint.parts, constraint.limits):
-            pmask = sum(1 << u for u in part)
-            ok &= np.bitwise_count(masks & pmask) <= limit
+            ok &= _member_count(part, n) <= limit
         return ok
     if isinstance(constraint, KnapsackConstraint):
-        load = np.zeros(len(masks))
-        for j, wj in enumerate(constraint.weights):
-            if wj:
-                load += wj * ((masks >> j) & 1)
-        return load <= constraint.budget
+        return _load_table(constraint.weights) <= constraint.budget
     if isinstance(constraint, PackingConstraint):
-        ok = np.ones(len(masks), dtype=bool)
+        ok = np.ones(1 << n, dtype=bool)
         for i in range(constraint.m):
-            load = np.zeros(len(masks))
-            for j in range(constraint.n):
-                a = constraint.A[i, j]
-                if a:
-                    load += a * ((masks >> j) & 1)
-            ok &= load <= constraint.b[i]
+            ok &= _load_table(constraint.A[i]) <= constraint.b[i]
         return ok
     raise TypeError(f"no feasibility table for {type(constraint).__name__}")
+
+
+def _lex_min_set(marked):
+    """The lexicographically smallest sorted id tuple among the sets marked
+    True in a bool array over all subset bitmasks (at least one is marked).
+
+    Each pass fixes the next member: the lowest id a, past those already
+    fixed, such that some marked set holds a and no id between them.
+    """
+    out = []
+    low = 0  # ids below `low` are decided; `marked` is over ids low, low+1, ...
+    while not marked[0]:
+        a = 0
+        while not (rest := _bit_axes(marked, (a,))[:, 1, 0]).any():
+            a += 1
+        out.append(low + a)
+        low += a + 1
+        marked = rest
+    return tuple(out)
 
 
 def brute_force_opt(oracle, constraint):
@@ -75,16 +106,15 @@ def brute_force_opt(oracle, constraint):
     n = oracle.n
     if n > TABLE_MAX_N:
         raise InstanceTooLargeError(f"brute force capped at n={TABLE_MAX_N}, got {n}")
-    check_ground_set(constraint, n)
-    vals = oracle.value_table()
     feasible = feasible_mask_array(constraint, n)
-    if not feasible.any():
+    count = int(feasible.sum())
+    if not count:
         raise ValueError("constraint admits no feasible set (not even the empty set)")
-    fvals = np.where(feasible, vals, -np.inf)
+    fvals = np.where(feasible, oracle.value_table(), -np.inf)
+    del feasible  # the tie table below is the third 2^n array, not the fourth
     opt = float(fvals.max())
-    ties = np.nonzero(fvals == opt)[0]
-    witness = min(_set_of(int(m)) for m in ties)
-    return ExactResult(opt_value=opt, witness=witness, sets_enumerated=int(feasible.sum()))
+    witness = _lex_min_set(fvals == opt)
+    return ExactResult(opt_value=opt, witness=witness, sets_enumerated=count)
 
 
 def ratio(trace, exact):

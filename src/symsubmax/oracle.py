@@ -81,6 +81,17 @@ def as_int(x):
     raise ValueError(f"{x!r} is not a whole number")
 
 
+def as_float(x):
+    """x as a float when it is an int or a float.
+
+    Raises ValueError for a bool, a numeric string or anything else, so that
+    a parser reading JSON does not read true as 1.0 or "1.5" as 1.5.
+    """
+    if isinstance(x, (int, float)) and not isinstance(x, bool):
+        return float(x)
+    raise ValueError(f"{x!r} is not a number")
+
+
 def _mask_of(S, n):
     mask = 0
     for u in S:
@@ -89,6 +100,24 @@ def _mask_of(S, n):
             raise InvalidSetError(f"element {u} outside ground set 0..{n - 1}")
         mask |= 1 << u
     return mask
+
+
+def _bit_axes(arr, ids):
+    """View a flat array over all 2^n subset bitmasks with one length-2 axis
+    per id in `ids`, indexed by that id's bit.
+
+    The ids' axes run from the highest id to the lowest, at positions 1, 3,
+    5, ...; the axes between them merge the other ids, so C order stays
+    ascending mask order. `arr` may be a strided 1-D view.
+    """
+    n = len(arr).bit_length() - 1
+    shape = []
+    hi = n
+    for u in sorted(map(int, ids), reverse=True):
+        shape += [1 << (hi - u - 1), 2]
+        hi = u
+    shape.append(1 << hi)
+    return arr.reshape(shape)
 
 
 def _set_of(mask):
@@ -214,16 +243,22 @@ class Oracle:
         return self._table
 
     def _build_table(self):
-        size = 1 << self.n
-        masks = np.arange(size, dtype=np.int64)
-        vals = np.zeros(size, dtype=np.float64)
+        vals = np.zeros(1 << self.n, dtype=np.float64)
         if self.kind == "graph-cut":
             for u, v, w in zip(self._eu, self._ev, self._ew):
-                vals += w * (((masks >> int(u)) ^ (masks >> int(v))) & 1)
+                # the two sub-cubes where exactly one endpoint is in the set
+                q = _bit_axes(vals, (u, v))
+                q[:, 0, :, 1] += w
+                q[:, 1, :, 0] += w
         else:
-            for hm, sz, w in zip(self._hmasks, self._hsizes, self._hw):
-                inter = np.bitwise_count(masks & hm)
-                vals += w * ((inter > 0) & (inter < sz))
+            cut = np.empty(len(vals), dtype=bool)
+            for (members, _), w in zip(self._payload.hyperedges, self._hw):
+                # every set but those that hold none or all of the members
+                cut.fill(True)
+                q = _bit_axes(cut, members)
+                q[(slice(None), 0) * len(members)] = False
+                q[(slice(None), 1) * len(members)] = False
+                np.add(vals, w, out=vals, where=cut)
         return vals
 
 
@@ -285,7 +320,6 @@ def validate(oracle, mode="exhaustive", trials=1000, seed=0, tol=EQ_TOL):
 def _validate_exhaustive(oracle, tol):
     n = oracle.n
     vals = oracle.value_table()
-    full = (1 << n) - 1
     report = ValidationReport(valid=True, mode="exhaustive", checks=0)
 
     bad = np.nonzero(vals < -tol)[0]
@@ -293,7 +327,8 @@ def _validate_exhaustive(oracle, tol):
         _record(report, "non-negativity", S=_set_of(int(m)), value=float(vals[m]))
     report.checks += len(vals)
 
-    comp = vals[full ^ np.arange(len(vals))]
+    # the complement of mask m is 2^n - 1 - m
+    comp = vals[::-1]
     bad = np.nonzero(np.abs(vals - comp) > tol)[0]
     for m in bad[:50]:
         _record(
@@ -305,27 +340,31 @@ def _validate_exhaustive(oracle, tol):
         )
     report.checks += len(vals)
 
-    masks = np.arange(len(vals), dtype=np.int64)
     for u in range(n):
-        bu = 1 << u
         for v in range(u + 1, n):
-            bv = 1 << v
-            base = masks[(masks & (bu | bv)) == 0]
-            lhs = vals[base | bu] + vals[base | bv]
-            rhs = vals[base | bu | bv] + vals[base]
-            bad = np.nonzero(lhs < rhs - tol)[0]
+            # q[:, a, :, b] holds f(S + a*v + b*u) for every S avoiding u and v
+            q = _bit_axes(vals, (u, v))
+            lhs = q[:, 0, :, 1] + q[:, 1, :, 0]
+            rhs = q[:, 1, :, 1] + q[:, 0, :, 0]
+            bad = np.flatnonzero(lhs < rhs - tol)
             for i in bad[:5]:
-                m = int(base[i])
                 _record(
                     report,
                     "submodularity",
-                    S=_set_of(m),
+                    S=_set_of(_insert_zero_bits(int(i), u, v)),
                     u=u,
                     v=v,
-                    deficit=float(rhs[i] - lhs[i]),
+                    deficit=float(rhs.flat[i] - lhs.flat[i]),
                 )
-            report.checks += len(base)
+            report.checks += lhs.size
     return report
+
+
+def _insert_zero_bits(i, u, v):
+    """The mask whose bits, with the zero bits at u < v removed, read i."""
+    for b in (u, v):
+        i = (i >> b << (b + 1)) | (i & ((1 << b) - 1))
+    return i
 
 
 def _validate_sampled(oracle, trials, seed, tol):
@@ -374,16 +413,16 @@ def parse_instance(obj):
         if n < 0:
             raise MalformedInstanceError(f"n must be >= 0, got {n}")
         if kind == "graph-cut":
-            edges = tuple((as_int(u), as_int(v), float(w)) for u, v, w in obj["edges"])
+            edges = tuple((as_int(u), as_int(v), as_float(w)) for u, v, w in obj["edges"])
             return graph_cut_oracle(WeightedGraph(n, edges))
         if kind == "hypergraph-cut":
             hyperedges = tuple(
-                (frozenset(as_int(u) for u in e["members"]), float(e["w"]))
+                (frozenset(as_int(u) for u in e["members"]), as_float(e["w"]))
                 for e in obj["edges"]
             )
             return hypergraph_cut_oracle(WeightedHypergraph(n, hyperedges))
         if kind == "table":
-            return table_oracle(n, [float(v) for v in obj["values"]])
+            return table_oracle(n, [as_float(v) for v in obj["values"]])
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedInstanceError(
             f"bad instance object: {type(exc).__name__}: {exc}"

@@ -1,5 +1,14 @@
 import pytest
 
+try:
+    from hypothesis import settings
+except ImportError:  # only tests/test_properties.py needs hypothesis
+    pass
+else:
+    # the same examples on every run and machine; no wall-clock deadline
+    settings.register_profile("deterministic", derandomize=True, deadline=None)
+    settings.load_profile("deterministic")
+
 from symsubmax import (
     WeightedGraph,
     WeightedHypergraph,

@@ -262,6 +262,13 @@ def test_mw_lambda_override_recorded():
     assert t.params["lambda"] == 3.0
 
 
+def test_mw_lambda_override_nan_rejected():
+    g = graph_cut_oracle(random_graph(4, 1.0, (1.0, 1.0), seed=0))
+    p = PackingConstraint(np.full((1, 4), 0.5), np.array([1.0]))
+    with pytest.raises(ParameterError):
+        mw_packing(g, p, 0.3, lambda_override=float("nan"))
+
+
 # -- knapsack enum ------------------------------------------------------------
 
 

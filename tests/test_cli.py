@@ -251,6 +251,9 @@ C4 = {"type": "graph-cut", "n": 4, "edges": [[0, 1, 1.0], [1, 2, 1.0], [2, 3, 1.
 NAN_EDGE = {"type": "graph-cut", "n": 2, "edges": [[0, 1, float("nan")]]}
 NO_WEIGHT = {"type": "graph-cut", "n": 2, "edges": [[0, 1]]}
 CARD1 = {"type": "cardinality", "k": 1}
+K3 = {"type": "graph-cut", "n": 3, "edges": [[0, 1, 1.0], [1, 2, 1.0], [0, 2, 1.0]]}
+KNAP3 = {"type": "knapsack", "weights": [1, 1, 1], "budget": 2}
+MW = "solve --algorithm mw-packing --epsilon 0.5"
 
 
 @pytest.mark.parametrize(
@@ -270,14 +273,18 @@ CARD1 = {"type": "cardinality", "k": 1}
         ("exact", C4, {"type": "knapsack", "weights": [1, 1], "budget": 1}),
         ("exact", C4, {"type": "partition-matroid", "parts": [[0], [1]], "limits": [1, 1]}),
         ("exact", C4, {"type": "packing", "A": [[1.0, 1.0]], "b": [1.0]}),
+        # a non-finite lambda would write NaN or Infinity into the JSON report
+        (f"{MW} --lambda-override nan", K3, KNAP3),
+        (f"{MW} --lambda-override inf", K3, KNAP3),
     ],
 )
 def test_bad_input_exits_1(tmp_path, capsys, command, instance, constraint):
+    command, *options = command.split()
     argv = [command, "--instance", write_json(tmp_path / "i.json", instance)]
     if constraint is not None:
         argv += ["--constraint", write_json(tmp_path / "c.json", constraint)]
     if command == "solve":
-        argv += ["--algorithm", "greedy-card"]
+        argv += options or ["--algorithm", "greedy-card"]
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1

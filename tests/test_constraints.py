@@ -223,6 +223,15 @@ def test_malformed_constraints_raise():
         {"type": "partition-matroid", "parts": [[0], [1]], "limits": [1.7, 1]},
         {"type": "partition-matroid", "parts": [[0], [1]], "limits": [True, 1]},
         {"type": "partition-matroid", "parts": [[0], [True]], "limits": [1, 1]},
+        # weights, budgets and packing entries must be numbers, not booleans or strings
+        {"type": "knapsack", "weights": [True, 2.0], "budget": 3.0},
+        {"type": "knapsack", "weights": [1.0, "2"], "budget": 3.0},
+        {"type": "knapsack", "weights": [1.0, 2.0], "budget": "3"},
+        {"type": "knapsack", "weights": [1.0, 2.0], "budget": True},
+        {"type": "packing", "A": [[True, 0.5]], "b": [1.0]},
+        {"type": "packing", "A": [[0.5, "0.5"]], "b": [1.0]},
+        {"type": "packing", "A": [[0.5, 0.5]], "b": ["2"]},
+        {"type": "packing", "A": [[0.5, 0.5]], "b": [True]},
     ):
         with pytest.raises(MalformedConstraintError):
             parse_constraint(bad, n=2)

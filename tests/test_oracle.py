@@ -185,6 +185,13 @@ def test_parse_rejects_bad_instances():
         {"type": "graph-cut", "n": 2.5, "edges": []},
         {"type": "graph-cut", "n": True, "edges": []},
         {"type": "hypergraph-cut", "n": 3, "edges": [{"members": [0, 1.5], "w": 1.0}]},
+        # weights and values must be numbers, not booleans or numeric strings
+        {"type": "graph-cut", "n": 2, "edges": [[0, 1, True]]},
+        {"type": "graph-cut", "n": 2, "edges": [[0, 1, "1.5"]]},
+        {"type": "hypergraph-cut", "n": 3, "edges": [{"members": [0, 1], "w": True}]},
+        {"type": "hypergraph-cut", "n": 3, "edges": [{"members": [0, 1], "w": "2"}]},
+        {"type": "table", "n": 1, "values": ["0", 1.0]},
+        {"type": "table", "n": 1, "values": [0.0, True]},
     ):
         with pytest.raises(MalformedInstanceError):
             parse_instance(bad)

@@ -1,44 +1,59 @@
-"""Property tests: the 2^n value table and direct evaluation are interchangeable.
+"""Property tests for the 2^n passes: value tables, feasibility tables,
+brute-force optima and exhaustive validation.
 
 `solve --exact` builds the table before the solver runs, so the solver then
 reads every value from it. These properties pin down why that changes no
 report: each table entry equals the directly evaluated value bit for bit,
 and every solver gives the same trace and query count either way. An oracle
-builds a table only when `value_table()` is called.
+builds a table only when `value_table()` is called. The vectorized
+feasibility table, witness tie-break and validation report are checked
+against naive per-set references, and the table passes against a memory
+budget.
 """
 
 import json
+import tracemalloc
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symsubmax import (
+    CardinalityConstraint,
     KnapsackConstraint,
+    PackingConstraint,
     PartitionMatroid,
     UniformMatroid,
     WeightedGraph,
     WeightedHypergraph,
+    brute_force_opt,
     graph_cut_oracle,
     greedy_cardinality,
     greedy_matroid,
     hypergraph_cut_oracle,
     knapsack_enum,
     mw_packing,
+    random_graph,
+    random_hypergraph,
     sample_greedy_cardinality,
+    table_oracle,
+    validate,
 )
 from symsubmax.algorithms import ParameterError
 from symsubmax.constraints import ConstraintError
-from symsubmax.oracle import _set_of
+from symsubmax.exact import feasible_mask_array
+from symsubmax.oracle import EQ_TOL, _set_of
 
 WEIGHTS = st.floats(min_value=0.0, max_value=1e3, allow_nan=False, allow_infinity=False)
 
 
 @st.composite
-def graphs(draw, min_n=2, max_n=10):
+def graphs(draw, min_n=2, max_n=10, weights=WEIGHTS, max_edges=3):
     n = draw(st.integers(min_n, max_n))
     # v = u + 1 + d (mod n) with d < n - 1 never equals u
     ends = st.tuples(st.integers(0, n - 1), st.integers(0, n - 2))
-    edges = draw(st.lists(st.tuples(ends, WEIGHTS), max_size=3 * n))
+    edges = draw(st.lists(st.tuples(ends, weights), max_size=max_edges * n))
     return graph_cut_oracle(
         WeightedGraph(n, tuple((u, (u + 1 + d) % n, w) for (u, d), w in edges))
     )
@@ -61,7 +76,7 @@ def fresh(orc):
     return type(orc)(orc.kind, orc.n, orc._payload)
 
 
-@settings(deadline=None, max_examples=100)
+@settings(max_examples=100)
 @given(oracles())
 def test_table_entries_equal_direct_values(orc):
     direct = fresh(orc)
@@ -71,7 +86,7 @@ def test_table_entries_equal_direct_values(orc):
     assert direct._table is None
 
 
-@settings(deadline=None, max_examples=20)
+@settings(max_examples=20)
 @given(oracles(min_n=10, max_n=10))
 def test_queries_build_no_table(orc):
     fS = orc.eval({0, 3})
@@ -119,7 +134,7 @@ def outcome(call, orc):
     return json.dumps(trace.to_dict(), sort_keys=True), orc.query_count
 
 
-@settings(deadline=None, max_examples=200)
+@settings(max_examples=200)
 @given(solver_runs())
 def test_solvers_agree_with_and_without_table(run):
     orc, call = run
@@ -127,3 +142,179 @@ def test_solvers_agree_with_and_without_table(run):
     tabled.value_table()
     assert outcome(call, tabled) == outcome(call, orc)
     assert orc._table is None
+
+
+# -- feasibility tables and the brute-force witness ---------------------------
+
+# dyadic weights add up exactly, so a load's value does not depend on the
+# order in which a per-set check sums it
+DYADIC = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0, 1.5])
+
+
+@st.composite
+def constraints(draw, n):
+    """One constraint over n >= 1 elements, of any of the five kinds."""
+    kind = draw(st.sampled_from(["cardinality", "uniform", "partition", "knapsack", "packing"]))
+    if kind == "cardinality":
+        return CardinalityConstraint(draw(st.integers(1, n + 1)))
+    if kind == "uniform":
+        return UniformMatroid(draw(st.integers(1, n)), n)
+    if kind == "partition":
+        ids = draw(st.permutations(range(n)))
+        cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=3))) if n > 1 else []
+        parts = [ids[a:b] for a, b in zip([0, *cuts], [*cuts, n])]
+        return PartitionMatroid(parts, [draw(st.integers(0, len(p))) for p in parts])
+    if kind == "knapsack":
+        weights = draw(st.lists(DYADIC, min_size=n, max_size=n))
+        return KnapsackConstraint(tuple(weights), draw(st.sampled_from([0.5, 1.0, 2.5])))
+    m = draw(st.integers(1, 3))
+    entries = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])
+    A = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=m, max_size=m))
+    b = draw(st.lists(st.sampled_from([1.0, 1.5, 2.0]), min_size=m, max_size=m))
+    return PackingConstraint(np.array(A), np.array(b))
+
+
+@st.composite
+def constrained(draw, min_n=1, max_n=10):
+    n = draw(st.integers(min_n, max_n))
+    return n, draw(constraints(n))
+
+
+@settings(max_examples=100)
+@given(constrained())
+def test_feasible_mask_array_matches_is_feasible(case):
+    n, c = case
+    table = feasible_mask_array(c, n)
+    assert table.shape == (1 << n,)
+    for m in range(1 << n):
+        assert table[m] == c.is_feasible(_set_of(m))
+
+
+@st.composite
+def tie_heavy_runs(draw):
+    """(oracle, constraint) on which many feasible sets share the optimum:
+    edgeless graphs, or graphs with small integer weights."""
+    orc = draw(
+        st.one_of(
+            graphs(max_n=10, max_edges=0),
+            graphs(max_n=10, weights=st.integers(0, 2).map(float)),
+        )
+    )
+    return orc, draw(constraints(orc.n))
+
+
+@settings(max_examples=60)
+@given(tie_heavy_runs())
+def test_witness_is_the_smallest_tied_set(run):
+    orc, c = run
+    sets = [_set_of(m) for m in range(1 << orc.n)]
+    values = {S: orc.eval_uncounted(S) for S in sets if c.is_feasible(S)}
+    opt = max(values.values())
+    res = brute_force_opt(orc, c)
+    assert res.opt_value == opt
+    assert res.witness == min(S for S, v in values.items() if v == opt)
+    assert res.sets_enumerated == len(values)
+
+
+# -- exhaustive validation ----------------------------------------------------
+
+
+@st.composite
+def perturbed_tables(draw):
+    """A cut function's table with a random share of entries shifted, some
+    by less than the tolerance, so that violations of every kind appear and
+    the per-kind caps are reached."""
+    orc = draw(oracles(min_n=2, max_n=7))
+    vals = orc.value_table().copy()
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    hit = rng.random(len(vals)) < draw(st.sampled_from([1.0, 0.3, 0.05, 0.0]))
+    shifts = draw(st.sets(st.sampled_from([-1e4, -2.0, -EQ_TOL / 2, EQ_TOL / 2, 3.0]), min_size=1))
+    vals[hit] += rng.choice(sorted(shifts), hit.sum())
+    return table_oracle(orc.n, vals.tolist())
+
+
+def naive_report(vals, n, tol=EQ_TOL):
+    """validate()'s exhaustive report, one set and one (S, u, v) at a time."""
+    full = (1 << n) - 1
+    members = [tuple(i for i in range(n) if m >> i & 1) for m in range(1 << n)]
+    negative = [
+        {"kind": "non-negativity", "S": members[m], "value": vals[m]}
+        for m in range(1 << n)
+        if vals[m] < -tol
+    ]
+    asymmetric = [
+        {"kind": "symmetry", "S": members[m], "value": vals[m], "complement_value": vals[full ^ m]}
+        for m in range(1 << n)
+        if abs(vals[m] - vals[full ^ m]) > tol
+    ]
+    violations = negative[:50] + asymmetric[:50]
+    checks = 2 << n
+    for u in range(n):
+        for v in range(u + 1, n):
+            found = []
+            for m in range(1 << n):
+                if m >> u & 1 or m >> v & 1:
+                    continue
+                checks += 1
+                lhs = vals[m | 1 << u] + vals[m | 1 << v]
+                rhs = vals[m | 1 << u | 1 << v] + vals[m]
+                if lhs < rhs - tol:
+                    found.append(
+                        {"kind": "submodularity", "S": members[m], "u": u, "v": v,
+                         "deficit": rhs - lhs}
+                    )
+            violations += found[:5]
+    return {"valid": not violations, "mode": "exhaustive", "checks": checks,
+            "violations": violations}
+
+
+@settings(max_examples=100)
+@given(perturbed_tables())
+def test_validate_matches_naive_report(orc):
+    assert validate(orc).to_dict() == naive_report(orc._payload, orc.n)
+
+
+# -- memory of the 2^n passes -------------------------------------------------
+
+N_MEM = 18
+TABLE_BYTES = 8 << N_MEM  # one float64 per subset
+
+
+def traced_peak(fn):
+    """Peak bytes that fn allocates on top of what is live when it starts."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+def mem_oracle(kind):
+    if kind == "graph":
+        return graph_cut_oracle(random_graph(N_MEM, 0.3, (0.0, 2.0), seed=1))
+    return hypergraph_cut_oracle(random_hypergraph(N_MEM, 40, 5, (0.0, 2.0), seed=1))
+
+
+@pytest.mark.parametrize("kind", ["graph", "hypergraph"])
+def test_value_table_peak_memory(kind):
+    orc = mem_oracle(kind)
+    assert traced_peak(orc.value_table) <= 1.25 * TABLE_BYTES
+
+
+@pytest.mark.parametrize(
+    "constraint",
+    [
+        CardinalityConstraint(5),
+        KnapsackConstraint(tuple(float(1 + j % 3) for j in range(N_MEM)), 6.0),
+    ],
+    ids=["cardinality", "knapsack"],
+)
+def test_brute_force_peak_memory(constraint):
+    orc = mem_oracle("graph")
+    assert traced_peak(lambda: brute_force_opt(orc, constraint)) <= 2.5 * TABLE_BYTES
