@@ -295,10 +295,12 @@ def mw_packing(
         )
     last_added = None
     r = 0
-    while float(packing.b @ w) <= lam and not universe <= S:
-        r += 1
+    while not universe <= S:
         beta = float(packing.b @ w)
-        best_j, best_density, best_gain = None, None, None
+        if not beta <= lam:
+            break
+        r += 1
+        best_j, best_density, best_gain, best_denom = None, None, None, None
         for j in sorted(universe - S):
             gain = oracle.marginal(j, S, fS)
             denom = float(packing.A[:, j] @ w)
@@ -307,7 +309,7 @@ def mw_packing(
             else:
                 density = gain / denom
             if best_density is None or density > best_density + EQ_TOL:
-                best_j, best_density, best_gain = j, density, gain
+                best_j, best_density, best_gain, best_denom = j, density, gain, denom
         if best_gain is None or best_gain <= 0:
             rounds.append(
                 Round(
@@ -324,7 +326,6 @@ def mw_packing(
         j = best_j
         before = set(S) | {j}
         S, fS = delete(oracle, before, fS + best_gain, protected=protected)
-        denom_j = float(packing.A[:, j] @ w)
         w = w * lam ** (packing.A[:, j] / packing.b)
         last_added = j
         rounds.append(
@@ -335,7 +336,7 @@ def mw_packing(
                 after_delete=_sorted_tuple(S),
                 value=fS,
                 cum_queries=oracle.query_count - start_q,
-                extras={"beta": beta, "denominator": denom_j, "gain": best_gain},
+                extras={"beta": beta, "denominator": best_denom, "gain": best_gain},
             )
         )
     if not packing.is_feasible(S) and last_added is not None and last_added in S:

@@ -64,10 +64,13 @@ class KnapsackConstraint:
         return len(self.weights)
 
     def is_feasible(self, S):
-        S = set(S)
+        S = sorted(set(S))
         if any(j >= self.n for j in S):
             raise MalformedConstraintError("element id outside weight vector")
-        return sum(self.weights[j] for j in S) <= self.budget
+        load = 0.0
+        for j in S:  # ascending id, one at a time: see PackingConstraint.load
+            load += self.weights[j]
+        return load <= self.budget
 
     def to_packing(self, budget=None, allowed=None):
         """Rescale to packing form with A entries in [0,1] and b >= 1.
@@ -106,12 +109,20 @@ class PackingConstraint:
         self.m, self.n = A.shape
 
     def load(self, S):
+        """A x_S, each row's weights added one at a time in ascending id.
+
+        Every per-set load check and exact.feasible_mask_array's tables add
+        in this order, so they agree on a load that rounds across a budget.
+        Neither builtin sum (compensated from Python 3.12) nor numpy's
+        pairwise sum keeps it.
+        """
         S = sorted(set(S))
         if any(j >= self.n for j in S):
             raise MalformedConstraintError("element id outside matrix columns")
-        if not S:
-            return np.zeros(self.m)
-        return self.A[:, S].sum(axis=1)
+        load = np.zeros(self.m)
+        for j in S:
+            load += self.A[:, j]
+        return load
 
     def is_feasible(self, S):
         return bool(np.all(self.load(S) <= self.b))

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import threading
 from dataclasses import dataclass, field
+from operator import index
 
 import numpy as np
 
@@ -93,12 +94,20 @@ def as_float(x):
 
 
 def _mask_of(S, n):
+    """The bitmask of S, whose elements must be integer ids in 0..n-1.
+
+    numpy integers pass; a float (even 1.0) or a bool does not, so that no
+    id is silently truncated or read from True.
+    """
     mask = 0
     for u in S:
-        u = int(u)
-        if not 0 <= u < n:
-            raise InvalidSetError(f"element {u} outside ground set 0..{n - 1}")
-        mask |= 1 << u
+        try:
+            i = index(u)
+        except TypeError:
+            raise InvalidSetError(f"element {u!r} is not an integer id") from None
+        if not 0 <= i < n or u is True or u is False:  # index(True) is 1
+            raise InvalidSetError(f"element {u!r} is not an id in 0..{n - 1}")
+        mask |= 1 << i
     return mask
 
 
@@ -152,10 +161,9 @@ class Oracle:
             self._ev = np.array([e[1] for e in g.edges], dtype=np.int64)
             self._ew = np.array([e[2] for e in g.edges], dtype=np.float64)
         elif kind == "hypergraph-cut":
-            hg = payload
-            self._hmasks = [sum(1 << u for u in members) for members, _ in hg.hyperedges]
-            self._hsizes = [len(members) for members, _ in hg.hyperedges]
-            self._hw = [float(w) for _, w in hg.hyperedges]
+            self._hedges = [
+                (sum(1 << u for u in members), float(w)) for members, w in payload.hyperedges
+            ]
         elif kind == "table":
             values = payload
             if len(values) != 1 << n:
@@ -197,19 +205,17 @@ class Oracle:
         The caller supplies the cached value fS = f(S); this contract is what
         keeps solver query counts tight.
         """
-        u = int(u)
+        bit = _mask_of((u,), self.n)
         mask = _mask_of(S, self.n)
-        if not 0 <= u < self.n:
-            raise InvalidSetError(f"element {u} outside ground set")
-        if mask & (1 << u):
+        if mask & bit:
             raise InvalidSetError(f"element {u} already in the set")
         with self._lock:
             self._queries += 1
-        return self._value(mask | (1 << u)) - fS
+        return self._value(mask | bit) - fS
 
     def _value(self, mask):
         # a built table and direct evaluation agree bit for bit: both add the
-        # same weights in the same edge order, and adding 0.0 is exact
+        # weights of the cut edges in edge order
         if self._table is not None:
             return float(self._table[mask])
         return self._value_direct(mask)
@@ -222,11 +228,11 @@ class Oracle:
                 if (mask >> int(u)) & 1 != (mask >> int(v)) & 1:
                     total += w
             return total
-        # hypergraph-cut
+        # hypergraph-cut: cut when the set holds some but not all members
         total = 0.0
-        for hm, sz, w in zip(self._hmasks, self._hsizes, self._hw):
-            inter = (mask & hm).bit_count()
-            if 0 < inter < sz:
+        for hm, w in self._hedges:
+            x = mask & hm
+            if x and x != hm:
                 total += w
         return total
 
@@ -245,20 +251,19 @@ class Oracle:
     def _build_table(self):
         vals = np.zeros(1 << self.n, dtype=np.float64)
         if self.kind == "graph-cut":
-            for u, v, w in zip(self._eu, self._ev, self._ew):
-                # the two sub-cubes where exactly one endpoint is in the set
-                q = _bit_axes(vals, (u, v))
-                q[:, 0, :, 1] += w
-                q[:, 1, :, 0] += w
+            edges = zip(zip(self._eu, self._ev), self._ew)
         else:
-            cut = np.empty(len(vals), dtype=bool)
-            for (members, _), w in zip(self._payload.hyperedges, self._hw):
-                # every set but those that hold none or all of the members
-                cut.fill(True)
-                q = _bit_axes(cut, members)
-                q[(slice(None), 0) * len(members)] = False
-                q[(slice(None), 1) * len(members)] = False
-                np.add(vals, w, out=vals, where=cut)
+            edges = ((members, float(w)) for members, w in self._payload.hyperedges)
+        for members, w in edges:
+            # With the k members ordered highest id first, an edge cuts a set
+            # exactly when, for some j < k, members 1..j all have bit a and
+            # member j+1 has bit 1-a. These 2(k-1) slabs are disjoint, so
+            # each cut set gets w once, in edge order as _value_direct adds it.
+            q = _bit_axes(vals, members)
+            for j in range(1, len(members)):
+                for a in (0, 1):
+                    slab = q[(slice(None), a) * j + (slice(None), 1 - a)]
+                    slab += w
         return vals
 
 

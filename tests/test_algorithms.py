@@ -228,6 +228,26 @@ def test_mw_overshoot_is_repaired():
     assert p.is_feasible(t.final_set)
 
 
+@pytest.mark.parametrize("m", [1, 2])
+def test_mw_trace_extras_replay(m):
+    # beta and the denominator are read before the round's weight update
+    rng = np.random.default_rng(m)
+    g = graph_cut_oracle(random_graph(10, 0.5, (0.5, 1.5), seed=m))
+    p = PackingConstraint(rng.uniform(0.1, 1.0, (m, 10)), np.full(m, 5.0))
+    t = mw_packing(g, p, 0.3)
+    lam = t.params["lambda"]
+    w = 1.0 / p.b
+    picked = 0
+    for r in t.rounds:
+        assert r.extras["beta"] == float(p.b @ w)
+        if r.selected is None:
+            continue
+        assert r.extras["denominator"] == float(p.A[:, r.selected] @ w)
+        w = w * lam ** (p.A[:, r.selected] / p.b)
+        picked += 1
+    assert picked >= 5 and t.rounds[-1].selected is None
+
+
 def test_mw_width_warning():
     g = graph_cut_oracle(random_graph(4, 1.0, (1.0, 1.0), seed=0))
     p = PackingConstraint(np.full((1, 4), 1.0), np.array([2.0]))

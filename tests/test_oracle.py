@@ -33,6 +33,29 @@ def test_eval_rejects_out_of_range(k3):
         k3.eval({3})
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [1.7, 0.9, 1.0, np.float64(1.0), True, np.True_, "1", None],
+    ids=["1.7", "0.9", "1.0", "np.float64", "True", "np.True_", "str", "None"],
+)
+def test_set_arguments_must_be_integer_ids(k3, bad):
+    # a float used to be truncated to the id below it, and True read as 1
+    with pytest.raises(InvalidSetError):
+        k3.eval({bad})
+    with pytest.raises(InvalidSetError):
+        k3.eval_uncounted([0, bad])
+    with pytest.raises(InvalidSetError):
+        k3.marginal(bad, set(), 0.0)
+    with pytest.raises(InvalidSetError):
+        k3.marginal(2, {bad}, 0.0)
+    assert k3.query_count == 0
+
+
+def test_numpy_integer_ids_pass(k3):
+    assert k3.eval(np.array([0, 2])) == k3.eval({0, 2})
+    assert k3.marginal(np.int64(1), {np.uint8(0)}, 2.0) == k3.marginal(1, {0}, 2.0)
+
+
 def test_table_length_must_be_power(k3):
     with pytest.raises(MalformedInstanceError):
         table_oracle(2, [0, 5, 5])

@@ -16,7 +16,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symsubmax import (
@@ -34,6 +34,7 @@ from symsubmax import (
     hypergraph_cut_oracle,
     knapsack_enum,
     mw_packing,
+    parse_instance,
     random_graph,
     random_hypergraph,
     sample_greedy_cardinality,
@@ -84,6 +85,46 @@ def test_table_entries_equal_direct_values(orc):
     for m in range(1 << orc.n):
         assert table[m] == direct.eval_uncounted(_set_of(m))
     assert direct._table is None
+
+
+@st.composite
+def cut_instances(draw):
+    """(instance object, its edges as (member ids, w) in file order): a graph
+    or a hypergraph at n <= 10, with members listed in any order, zero
+    weights, and hyperedges on {0, n-1} and on all n ids."""
+    n = draw(st.integers(2, 10))
+    weights = st.one_of(st.just(0.0), WEIGHTS)
+    ids = st.lists(st.integers(0, n - 1), min_size=2, max_size=n, unique=True)
+    if draw(st.booleans()):
+        edges = draw(st.lists(st.tuples(ids.map(lambda m: m[:2]), weights), max_size=3 * n))
+        edges.append(([n - 1, 0], draw(weights)))
+        obj = {"type": "graph-cut", "n": n, "edges": [[u, v, w] for (u, v), w in edges]}
+    else:
+        edges = draw(st.lists(st.tuples(ids, weights), max_size=2 * n))
+        for members in ([n - 1, 0], list(range(n))[::-1]):
+            edges.insert(draw(st.integers(0, len(edges))), (members, draw(weights)))
+        obj = {"type": "hypergraph-cut", "n": n,
+               "edges": [{"members": m, "w": w} for m, w in edges]}
+    return obj, edges
+
+
+@settings(max_examples=60)
+@given(cut_instances())
+def test_table_equals_naive_cut_sums(case):
+    # written apart from oracle.py: one shared fault in the table build and
+    # the direct evaluation would pass the table/direct comparison above
+    obj, edges = case
+    n = obj["n"]
+    expected = []
+    for m in range(1 << n):
+        total = 0.0
+        for members, w in edges:
+            inside = [m >> u & 1 for u in members]
+            if any(inside) and not all(inside):
+                total += w
+        expected.append(total)
+    table = parse_instance(obj).value_table()
+    assert table.tobytes() == np.array(expected, dtype=np.float64).tobytes()
 
 
 @settings(max_examples=20)
@@ -180,8 +221,52 @@ def constrained(draw, min_n=1, max_n=10):
     return n, draw(constraints(n))
 
 
-@settings(max_examples=100)
-@given(constrained())
+# Non-dyadic weights round, so a load depends on the order of its additions.
+# Each budget is the smallest of a drawn set's loads summed in ascending,
+# descending and set-iteration order (and numpy's pairwise order for a
+# packing), so that set sits on the boundary; ids past 8 reorder small sets,
+# and numpy pairs up 8 or more members.
+NON_DYADIC = st.sampled_from([0.1, 0.2, 0.3, 1 / 3, 0.6, 0.7, 0.9])
+
+
+def rounded_loads(weights, S):
+    members = sorted(S)
+    loads = [np.sum(np.asarray(weights)[members])]
+    for order in (members, members[::-1], S):
+        load = 0.0
+        for j in order:
+            load += weights[j]
+        loads.append(load)
+    return loads
+
+
+@st.composite
+def boundary_constraints(draw):
+    n = draw(st.integers(9, 10))
+    S = draw(st.sets(st.integers(0, n - 1), min_size=4))
+    if draw(st.booleans()):
+        weights = draw(st.lists(NON_DYADIC, min_size=n, max_size=n))
+        return n, KnapsackConstraint(tuple(weights), float(min(rounded_loads(weights, S))))
+    rows = st.lists(NON_DYADIC, min_size=n, max_size=n)
+    A = np.array(draw(st.lists(rows, min_size=1, max_size=2)))
+    b = [max(1.0, min(rounded_loads(row, S))) for row in A]
+    return n, PackingConstraint(A, np.array(b))
+
+
+@settings(max_examples=200)
+@given(st.one_of(constrained(), boundary_constraints()))
+# the two disagreements first seen: the knapsack iterates {1, 3, 8, 9} as
+# 8, 1, 3, 9, and the packing load was numpy's pairwise sum
+@example((10, KnapsackConstraint((0, 0.7, 0, 0.6, 0, 0, 0, 0, 0.3, 0.2), 1.7999999999999998)))
+@example(
+    (
+        10,
+        PackingConstraint(
+            np.array([[0.2, 1 / 3, 0.1, 0.3, 0.1, 0.7, 0.7, 0.7, 0.6, 0.7]]),
+            np.array([3.633333333333333]),
+        ),
+    )
+)
 def test_feasible_mask_array_matches_is_feasible(case):
     n, c = case
     table = feasible_mask_array(c, n)
