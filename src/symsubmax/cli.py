@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -322,9 +323,13 @@ def build_parser():
     return p
 
 
+# argparse keeps no state between parses, and SOLVERS, the source of the
+# --algorithm choices, is fixed at import; so one parser serves every call.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (

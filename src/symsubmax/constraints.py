@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from operator import index
 
 import numpy as np
 
@@ -33,6 +34,24 @@ class MatroidInvariantError(ConstraintError):
     """Internal exchange/base invariant broke; the matroid code is buggy."""
 
 
+def _ids(S, n=None):
+    """The elements of S as a set, each checked to be an integer id in
+    0..n-1, or a non-negative one when n is None.
+
+    numpy integers pass; a float (even 1.0) or a bool does not, and a
+    negative id is not read from the end of a weight vector.
+    """
+    S = set(S)
+    for u in S:
+        try:
+            i = index(u)
+        except TypeError:
+            raise MalformedConstraintError(f"element {u!r} is not an integer id") from None
+        if i < 0 or (n is not None and i >= n) or u is True or u is False:
+            raise MalformedConstraintError(f"element {u!r} is outside the ground set")
+    return S
+
+
 # -- simple families ----------------------------------------------------------
 
 
@@ -45,7 +64,7 @@ class CardinalityConstraint:
             raise MalformedConstraintError(f"k must be positive, got {self.k}")
 
     def is_feasible(self, S):
-        return len(set(S)) <= self.k
+        return len(_ids(S)) <= self.k
 
 
 @dataclass(frozen=True)
@@ -64,11 +83,9 @@ class KnapsackConstraint:
         return len(self.weights)
 
     def is_feasible(self, S):
-        S = sorted(set(S))
-        if any(j >= self.n for j in S):
-            raise MalformedConstraintError("element id outside weight vector")
         load = 0.0
-        for j in S:  # ascending id, one at a time: see PackingConstraint.load
+        # ascending id, one at a time: see PackingConstraint.load
+        for j in sorted(_ids(S, self.n)):
             load += self.weights[j]
         return load <= self.budget
 
@@ -116,11 +133,8 @@ class PackingConstraint:
         Neither builtin sum (compensated from Python 3.12) nor numpy's
         pairwise sum keeps it.
         """
-        S = sorted(set(S))
-        if any(j >= self.n for j in S):
-            raise MalformedConstraintError("element id outside matrix columns")
         load = np.zeros(self.m)
-        for j in S:
+        for j in sorted(_ids(S, self.n)):
             load += self.A[:, j]
         return load
 
@@ -161,10 +175,7 @@ class UniformMatroid(Matroid):
         self.rank = k
 
     def is_independent(self, S):
-        S = set(S)
-        if any(u >= self.n for u in S):
-            raise MalformedConstraintError("element id outside ground set")
-        return len(S) <= self.k
+        return len(_ids(S, self.n)) <= self.k
 
 
 class PartitionMatroid(Matroid):
@@ -188,9 +199,7 @@ class PartitionMatroid(Matroid):
         self.rank = sum(min(l, len(p)) for p, l in zip(parts, self.limits))
 
     def is_independent(self, S):
-        S = set(S)
-        if any(u >= self.n for u in S):
-            raise MalformedConstraintError("element id outside ground set")
+        S = _ids(S, self.n)
         return all(len(S & p) <= l for p, l in zip(self.parts, self.limits))
 
 

@@ -303,3 +303,32 @@ def test_solve_missing_instance(card2_file):
         ]
     )
     assert code == 1
+
+
+def test_one_parser_serves_every_call(monkeypatch, capsys, k3_file, card2_file):
+    from symsubmax import cli
+
+    solve = ["solve", "--instance", k3_file, "--constraint", card2_file,
+             "--algorithm", "greedy-card", "--trace"]
+    calls = [
+        solve,
+        ["solve", "--instance", k3_file, "--algorithm", "greedy-card"],  # exit 2
+        ["verify", "--instance", k3_file, "--exhaustive"],
+        solve,
+    ]
+
+    def run_all():
+        results = []
+        for argv in calls:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            results.append((code, *capsys.readouterr()))
+        return results
+
+    reused = run_all()
+    assert cli._parser() is cli._parser()
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    assert reused == run_all()
+    assert [r[0] for r in reused] == [0, 2, 0, 0]

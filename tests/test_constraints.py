@@ -238,3 +238,34 @@ def test_malformed_constraints_raise():
     p = PackingConstraint(np.array([[0.5, 1.0]]), np.array([2.0]))
     with pytest.raises(MalformedConstraintError):
         p.is_feasible({5})  # dimension mismatch
+
+
+@pytest.mark.parametrize(
+    "constraint, S",
+    [
+        (KnapsackConstraint((1.0, 2.0), 1.5), {-2}),
+        (PackingConstraint([[0.5, 1.0]], [1.0]), {-1}),
+        (UniformMatroid(1, 3), {-1}),
+        (PartitionMatroid([[0], [1]], [1, 1]), {-5}),
+        (CardinalityConstraint(1), {1.5}),
+        (CardinalityConstraint(1), {True}),
+        (KnapsackConstraint((1.0, 2.0), 1.5), {1.0}),
+        (UniformMatroid(1, 3), {3}),
+    ],
+    ids=["knapsack-neg", "packing-neg", "uniform-neg", "partition-neg", "card-float",
+         "card-bool", "knapsack-float", "uniform-n"],
+)
+def test_per_set_checks_reject_bad_ids(constraint, S):
+    # a negative id used to read a weight from the end of the vector, and a
+    # cardinality bound counted any hashable element
+    with pytest.raises(MalformedConstraintError):
+        constraint.is_feasible(S)
+
+
+def test_per_set_checks_take_numpy_ids():
+    ids = {np.int64(0), np.int32(1)}
+    assert KnapsackConstraint((1.0, 2.0), 3.0).is_feasible(ids)
+    assert PackingConstraint([[0.5, 1.0]], [1.5]).is_feasible(ids)
+    assert UniformMatroid(2, 3).is_feasible(ids)
+    assert PartitionMatroid([[0], [1]], [1, 1]).is_feasible(ids)
+    assert not CardinalityConstraint(1).is_feasible(ids | {np.int64(7)})

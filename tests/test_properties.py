@@ -7,8 +7,8 @@ report: each table entry equals the directly evaluated value bit for bit,
 and every solver gives the same trace and query count either way. An oracle
 builds a table only when `value_table()` is called. The vectorized
 feasibility table, witness tie-break and validation report are checked
-against naive per-set references, and the table passes against a memory
-budget.
+against naive per-set references, and the table, brute-force and
+validation passes against memory budgets.
 """
 
 import json
@@ -44,7 +44,7 @@ from symsubmax import (
 from symsubmax.algorithms import ParameterError
 from symsubmax.constraints import ConstraintError
 from symsubmax.exact import feasible_mask_array
-from symsubmax.oracle import EQ_TOL, _set_of
+from symsubmax.oracle import EQ_TOL, ROW_BITS, _set_of
 
 WEIGHTS = st.floats(min_value=0.0, max_value=1e3, allow_nan=False, allow_infinity=False)
 
@@ -87,6 +87,16 @@ def test_table_entries_equal_direct_values(orc):
     assert direct._table is None
 
 
+H = ROW_BITS  # the lowest id that picks a row of the table
+
+
+def cut_case(kind, n, edges):
+    """(instance object, edges) for edges given as (member ids, w)."""
+    if kind == "graph-cut":
+        return {"type": kind, "n": n, "edges": [[u, v, w] for (u, v), w in edges]}, edges
+    return {"type": kind, "n": n, "edges": [{"members": m, "w": w} for m, w in edges]}, edges
+
+
 @st.composite
 def cut_instances(draw):
     """(instance object, its edges as (member ids, w) in file order): a graph
@@ -98,18 +108,40 @@ def cut_instances(draw):
     if draw(st.booleans()):
         edges = draw(st.lists(st.tuples(ids.map(lambda m: m[:2]), weights), max_size=3 * n))
         edges.append(([n - 1, 0], draw(weights)))
-        obj = {"type": "graph-cut", "n": n, "edges": [[u, v, w] for (u, v), w in edges]}
-    else:
-        edges = draw(st.lists(st.tuples(ids, weights), max_size=2 * n))
-        for members in ([n - 1, 0], list(range(n))[::-1]):
-            edges.insert(draw(st.integers(0, len(edges))), (members, draw(weights)))
-        obj = {"type": "hypergraph-cut", "n": n,
-               "edges": [{"members": m, "w": w} for m, w in edges]}
-    return obj, edges
+        return cut_case("graph-cut", n, edges)
+    edges = draw(st.lists(st.tuples(ids, weights), max_size=2 * n))
+    for members in ([n - 1, 0], list(range(n))[::-1]):
+        edges.insert(draw(st.integers(0, len(edges))), (members, draw(weights)))
+    return cut_case("hypergraph-cut", n, edges)
 
 
 @settings(max_examples=60)
 @given(cut_instances())
+# past n = H the table build adds weights to rows of 2^H entries: edges
+# with every member at or above id H, every member below it, and both
+@example(
+    cut_case(
+        "graph-cut",
+        H + 2,
+        [([H + 1, H], 1.5), ([2, 9], 1 / 3), ([H, 4], 0.7), ([0, H + 1], 0.0), ([H - 1, 10], 2.0),
+         ([H, H + 1], 1e3), ([5, 0], 0.1)],
+    )
+)
+@example(
+    cut_case(
+        "hypergraph-cut",
+        H + 2,
+        [([H + 1, H], 0.1), ([0, 5, H - 1], 2.5), ([H + 1, 1, H, 7], 1 / 3),
+         (list(range(H + 2))[::-1], 0.9), ([3, H + 1], 0.0), ([H, H + 1, 2], 7.0)],
+    )
+)
+@example(
+    cut_case(
+        "hypergraph-cut",
+        H + 1,
+        [([H, 0], 0.3), ([1, 2, 3], 1.0), ([H, H - 1, 5], 1 / 7), (list(range(H + 1)), 2.0)],
+    )
+)
 def test_table_equals_naive_cut_sums(case):
     # written apart from oracle.py: one shared fault in the table build and
     # the direct evaluation would pass the table/direct comparison above
@@ -318,6 +350,22 @@ def perturbed_tables(draw):
     return table_oracle(orc.n, vals.tolist())
 
 
+@st.composite
+def scaled_tables(draw):
+    """A cut function's table times 1e6, 1e12 or 1e300, with a share of
+    entries shifted by +-tol/2, +-1.5 tol or a few ulps of the scale, so
+    that rounding at every magnitude meets the tolerance."""
+    orc = draw(oracles(min_n=2, max_n=7))
+    scale = draw(st.sampled_from([1e6, 1e12, 1e300]))
+    vals = orc.value_table() * scale
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    hit = rng.random(len(vals)) < draw(st.sampled_from([1.0, 0.3, 0.05]))
+    ulp = np.spacing(scale)
+    shifts = [sign * d for sign in (-1, 1) for d in (EQ_TOL / 2, 1.5 * EQ_TOL, ulp, 3 * ulp)]
+    vals[hit] += rng.choice(shifts, hit.sum())
+    return table_oracle(orc.n, vals.tolist())
+
+
 def naive_report(vals, n, tol=EQ_TOL):
     """validate()'s exhaustive report, one set and one (S, u, v) at a time."""
     full = (1 << n) - 1
@@ -353,8 +401,12 @@ def naive_report(vals, n, tol=EQ_TOL):
             "violations": violations}
 
 
-@settings(max_examples=100)
-@given(perturbed_tables())
+@settings(max_examples=300)
+@given(st.one_of(perturbed_tables(), scaled_tables()))
+# entries past 2^1021, where a sum can overflow
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@example(table_oracle(2, [1.7e308, -1.7e308, 1e308, 1.7e308]))
+@example(table_oracle(3, [0.0, 1.7e308, 1.7e308, -9e307, 9e307, 1.0, -1.7e308, 0.0]))
 def test_validate_matches_naive_report(orc):
     assert validate(orc).to_dict() == naive_report(orc._payload, orc.n)
 
@@ -390,6 +442,13 @@ def mem_oracle(kind):
 def test_value_table_peak_memory(kind):
     orc = mem_oracle(kind)
     assert traced_peak(orc.value_table) <= 1.25 * TABLE_BYTES
+
+
+@pytest.mark.parametrize("kind", ["graph", "hypergraph"])
+def test_exhaustive_validate_peak_memory(kind):
+    orc = mem_oracle(kind)
+    orc.value_table()
+    assert traced_peak(lambda: validate(orc)) <= 1.25 * TABLE_BYTES
 
 
 @pytest.mark.parametrize(
