@@ -19,7 +19,7 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .constraints import ExtendedMatroid
+from .constraints import ExtendedMatroid, KnapsackConstraint
 from .oracle import EQ_TOL
 
 
@@ -267,10 +267,19 @@ def mw_packing(
     added element is dropped, which restores feasibility. Query cost
     <= n(2n + 2).
 
+    `packing` is a PackingConstraint or a KnapsackConstraint. A knapsack is
+    run in its rescaled packing form (KnapsackConstraint.to_packing, over
+    `allowed` when given), but the final set is checked against the
+    knapsack itself, whose load can round across the budget where the
+    rescaled one does not.
+
     `start`/`protected`/`allowed` support the knapsack enumeration wrapper:
     the run begins at `start`, never deletes protected elements, and only
     considers candidates in `allowed`.
     """
+    constraint = packing
+    if isinstance(packing, KnapsackConstraint):
+        packing, allowed = packing.to_packing(allowed=allowed)
     n = oracle.n
     if packing.n != n:
         raise ParameterError("packing matrix columns must match the ground set")
@@ -339,7 +348,7 @@ def mw_packing(
                 extras={"beta": beta, "denominator": best_denom, "gain": best_gain},
             )
         )
-    if not packing.is_feasible(S) and last_added is not None and last_added in S:
+    if not constraint.is_feasible(S) and last_added is not None and last_added in S:
         S = S - {last_added}
         fS = oracle.eval(S)
         warnings.append(f"dropped last added element {last_added} to restore feasibility")

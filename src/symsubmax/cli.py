@@ -32,15 +32,6 @@ class Solver(NamedTuple):
     run: Callable  # (oracle, constraint, args) -> RunTrace
 
 
-def _mw_packing(orc, cons, args):
-    allowed = None
-    if isinstance(cons, constraints.KnapsackConstraint):
-        cons, allowed = cons.to_packing()
-    return algorithms.mw_packing(
-        orc, cons, args.epsilon, lambda_override=args.lambda_override, allowed=allowed
-    )
-
-
 # Each call looks its solver up in `algorithms` when it runs, so that a solver
 # swapped on the module (e.g. by a tracer) is the one that runs.
 SOLVERS = {
@@ -64,7 +55,9 @@ SOLVERS = {
     "mw-packing": Solver(
         (constraints.PackingConstraint, constraints.KnapsackConstraint),
         needs_epsilon=True,
-        run=_mw_packing,
+        run=lambda orc, cons, args: algorithms.mw_packing(
+            orc, cons, args.epsilon, lambda_override=args.lambda_override
+        ),
     ),
     "knapsack-enum": Solver(
         (constraints.KnapsackConstraint,),

@@ -255,15 +255,22 @@ class Oracle:
         return self._table
 
     def _build_table(self):
-        # The table is read as rows of 2^low entries: the ids below `low`
-        # pick the entry within a row, the others pick the row. Every entry
+        # A cut is symmetric bit for bit: V - S cuts the edges S cuts and adds
+        # their weights in the same order. So only the half where id n-1 is
+        # out is built, then mirrored: the complement of mask m is 2^n - 1 - m.
+        # That half is read as rows of 2^low entries: the ids below `low`
+        # pick the entry within a row, ids low..n-2 pick the row. Every entry
         # gets at most one addition per edge, w where the edge cuts it and
         # 0.0 or nothing elsewhere, in edge order as _value_direct adds the
         # weights; a value is never -0.0, so adding 0.0 leaves it as it is.
         n = self.n
-        low = min(n, ROW_BITS)
+        if n == 0:
+            return np.zeros(1)
+        top = n - 1
+        low = min(top, ROW_BITS)
         vals = np.zeros(1 << n, dtype=np.float64)
-        rows = vals.reshape(-1, 1 << low)
+        half = vals[: 1 << top]
+        rows = half.reshape(-1, 1 << low)
         col = np.arange(1 << low)
         has = [(col >> i & 1).astype(bool) for i in range(low)]  # bit i of each column
         if self.kind == "graph-cut":
@@ -271,21 +278,31 @@ class Oracle:
         else:
             edges = ((members, float(w)) for members, w in self._payload.hyperedges)
         for members, w in edges:
-            high = [u - low for u in members if u >= low]
+            high = [u - low for u in members if low <= u < top]
+            q = _bit_axes(rows, high)
+            bits = [has[u] for u in members if u < low]
+            some = every = bits[0] if bits else None
+            for b in bits[1:]:
+                some, every = some | b, every & b
+            if top in members:
+                # n-1 is out, so the edge is cut wherever another member is
+                # in: in the rows where, highest id first, high member j+1 is
+                # the first one in, and in the rows where every high member
+                # is out, wherever some low member is in
+                for j in range(len(high)):
+                    q[(slice(None), 0) * j + (slice(None), 1)] += w
+                if bits:
+                    q[(slice(None), 0) * len(high)] += w * some
+                continue
             # With the h high members ordered highest id first, the edge is
             # cut in every entry of the rows where, for some j < h, members
             # 1..j all have bit a and member j+1 has bit 1-a: 2(h-1)
             # disjoint slabs of whole rows.
-            q = _bit_axes(rows, high)
             for j in range(1, len(high)):
                 for a in (0, 1):
                     q[(slice(None), a) * j + (slice(None), 1 - a)] += w
-            bits = [has[u] for u in members if u < low]
             if not bits:
                 continue
-            some = every = bits[0]
-            for b in bits[1:]:
-                some, every = some | b, every & b
             if high:
                 # in the rows where every high member is out (in), the edge
                 # is cut where some low member is in (out)
@@ -293,6 +310,7 @@ class Oracle:
                 q[(slice(None), 1) * len(high)] += w * ~every
             else:
                 rows += w * (some ^ every)
+        vals[1 << top :] = half[::-1]
         return vals
 
 

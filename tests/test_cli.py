@@ -125,6 +125,30 @@ def test_solve_mw_packing_on_knapsack(k3_file, tmp_path):
     assert rep["feasible"] is True
 
 
+def test_mw_packing_repairs_by_the_knapsacks_own_load(tmp_path):
+    # before the repair, the set is {1, 2, 5, 7}: its load in ascending id
+    # rounds to 1.05, over the budget, while the rescaled packing load fits
+    edges = [
+        [0, 8, 0.7168907332779808], [1, 2, 0.056791230038824914], [1, 4, 1.4649375605538406],
+        [1, 8, 0.6702692175672156], [2, 3, 0.6710675348157122], [2, 4, 0.5413959814489258],
+        [2, 6, 0.7582365235184252], [3, 5, 1.7047460765821756], [3, 7, 1.678609850438478],
+        [4, 7, 1.8946496137302304], [7, 8, 1.7939080795024742],
+    ]
+    inst = write_json(tmp_path / "g.json", {"type": "graph-cut", "n": 9, "edges": edges})
+    weights = [1 / 3, 0.1, 0.15, 0.45, 0.45, 0.35, 0.3, 0.45, 0.35]
+    knap = write_json(
+        tmp_path / "knap.json",
+        {"type": "knapsack", "weights": weights, "budget": 1.0499999999999998},
+    )
+    out = tmp_path / "mw.json"
+    argv = ["solve", "--instance", inst, "--constraint", knap, "--algorithm", "mw-packing"]
+    assert main(argv + ["--epsilon", "0.2", "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    assert rep["feasible"] is True
+    assert rep["final_set"] == [1, 2, 7]
+    assert "dropped last added element 5 to restore feasibility" in rep["warnings"]
+
+
 def test_solve_incompatible_pair(k3_file, card2_file, capsys):
     code = main(
         [

@@ -85,6 +85,8 @@ def test_table_entries_equal_direct_values(orc):
     for m in range(1 << orc.n):
         assert table[m] == direct.eval_uncounted(_set_of(m))
     assert direct._table is None
+    # the complement of mask m is 2^n - 1 - m
+    assert table.tobytes() == table[::-1].tobytes()
 
 
 H = ROW_BITS  # the lowest id that picks a row of the table
@@ -117,8 +119,28 @@ def cut_instances(draw):
 
 @settings(max_examples=60)
 @given(cut_instances())
-# past n = H the table build adds weights to rows of 2^H entries: edges
-# with every member at or above id H, every member below it, and both
+# past n = H + 1 the table build adds weights to rows of 2^H entries of the
+# half where id n-1 is out: edges with every member at or above id H, every
+# member below it, and both; from n = H + 3 that half has two row ids, so
+# an edge on n-1 may hold another high id, only low ids, or both
+@example(
+    cut_case(
+        "hypergraph-cut",
+        H + 3,
+        [([H + 2, H + 1], 0.6), ([H + 2, 3], 1 / 3), ([0, H + 2, 7, 11], 2.5),
+         ([H, H + 2], 1.25), ([H + 2, H, H + 1], 0.2), ([H + 1, 4, H + 2, H], 3.0),
+         ([H, H + 1], 1e3), ([5, H + 1, 2], 0.7), ([1, 6], 0.1), ([H, 9], 0.0),
+         (list(range(H + 3)), 0.9)],
+    )
+)
+@example(
+    cut_case(
+        "graph-cut",
+        H + 3,
+        [([H + 2, H], 1.5), ([H + 1, H + 2], 0.3), ([0, H + 2], 1 / 7), ([H + 2, H - 1], 2.0),
+         ([H, H + 1], 0.7), ([H + 1, 8], 0.0), ([2, 9], 1 / 3)],
+    )
+)
 @example(
     cut_case(
         "graph-cut",
