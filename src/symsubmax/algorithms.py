@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 from .constraints import ExtendedMatroid, KnapsackConstraint
 from .oracle import EQ_TOL
@@ -37,17 +37,6 @@ class Round:
     cum_queries: int
     extras: dict = field(default_factory=dict)
 
-    def to_dict(self):
-        return {
-            "index": self.index,
-            "selected": self.selected,
-            "before_delete": list(self.before_delete),
-            "after_delete": list(self.after_delete),
-            "value": self.value,
-            "cum_queries": self.cum_queries,
-            "extras": self.extras,
-        }
-
 
 @dataclass
 class RunTrace:
@@ -60,16 +49,10 @@ class RunTrace:
     warnings: list = field(default_factory=list)
 
     def to_dict(self, include_rounds=True):
-        d = {
-            "algorithm": self.algorithm,
-            "params": self.params,
-            "final_set": list(self.final_set),
-            "final_value": self.final_value,
-            "total_queries": self.total_queries,
-            "warnings": list(self.warnings),
-        }
         if include_rounds:
-            d["rounds"] = [r.to_dict() for r in self.rounds]
+            return asdict(self)
+        d = asdict(replace(self, rounds=[]))
+        del d["rounds"]
         return d
 
 
@@ -248,38 +231,29 @@ def greedy_matroid(oracle, matroid, epsilon):
 # -- Algorithm: multiplicative weights under packing ----------------------------
 
 
-def mw_packing(
-    oracle,
-    packing,
-    epsilon,
-    *,
-    lambda_override=None,
-    start=frozenset(),
-    protected=frozenset(),
-    allowed=None,
-):
+def mw_packing(oracle, packing, epsilon, *, lambda_override=None, start=frozenset(), allowed=None):
     """Multiplicative-weights greedy for packing constraints.
 
     Selects elements by marginal value per current weighted load, Deletes
     after each addition, and multiplies constraint weights; stops when the
     weight budget beta exceeds lambda = e^(eps * W) or no remaining element
-    has positive marginal. If the final set overshoots some budget, the last
-    added element is dropped, which restores feasibility. Query cost
-    <= n(2n + 2).
+    has positive marginal. If the final set overshoots some budget, the
+    surviving added elements are dropped, most recently added first, until
+    the constraint accepts it. Query cost <= n(2n + 2).
 
     `packing` is a PackingConstraint or a KnapsackConstraint. A knapsack is
     run in its rescaled packing form (KnapsackConstraint.to_packing, over
-    `allowed` when given), but the final set is checked against the
-    knapsack itself, whose load can round across the budget where the
-    rescaled one does not.
+    `allowed` when given, against the budget left after `start`), but the
+    final set is judged and repaired by the knapsack's own is_feasible,
+    whose load can round across the budget where the rescaled one does not.
 
-    `start`/`protected`/`allowed` support the knapsack enumeration wrapper:
-    the run begins at `start`, never deletes protected elements, and only
-    considers candidates in `allowed`.
+    The run begins at `start`, never deletes it, and only considers
+    candidates in `allowed` (every element when None).
     """
     constraint = packing
     if isinstance(packing, KnapsackConstraint):
-        packing, allowed = packing.to_packing(allowed=allowed)
+        residual = packing.budget - packing.load(start)
+        packing, allowed = packing.to_packing(residual, allowed)
     n = oracle.n
     if packing.n != n:
         raise ParameterError("packing matrix columns must match the ground set")
@@ -290,7 +264,7 @@ def mw_packing(
     if not lam > 1:  # NaN fails it too
         raise ParameterError(f"lambda must exceed 1, got {lam}")
     universe = set(range(n)) if allowed is None else set(allowed)
-    protected = frozenset(protected)
+    start = frozenset(start)
     start_q = oracle.query_count
     S = set(start)
     fS = oracle.eval(S)
@@ -302,7 +276,6 @@ def mw_packing(
             f"width {W:.6g} below max(ln m, 1)/eps^2 = "
             f"{max(math.log(packing.m), 1.0) / epsilon**2:.6g}; ratio guarantee void"
         )
-    last_added = None
     r = 0
     while not universe <= S:
         beta = float(packing.b @ w)
@@ -334,9 +307,8 @@ def mw_packing(
             break
         j = best_j
         before = set(S) | {j}
-        S, fS = delete(oracle, before, fS + best_gain, protected=protected)
+        S, fS = delete(oracle, before, fS + best_gain, protected=start)
         w = w * lam ** (packing.A[:, j] / packing.b)
-        last_added = j
         rounds.append(
             Round(
                 index=r,
@@ -348,10 +320,14 @@ def mw_packing(
                 extras={"beta": beta, "denominator": best_denom, "gain": best_gain},
             )
         )
-    if not constraint.is_feasible(S) and last_added is not None and last_added in S:
-        S = S - {last_added}
+    if not constraint.is_feasible(S):
+        for rd in reversed(rounds):
+            if rd.selected in S:
+                S.discard(rd.selected)
+                warnings.append(f"dropped last added element {rd.selected} to restore feasibility")
+                if constraint.is_feasible(S):
+                    break
         fS = oracle.eval(S)
-        warnings.append(f"dropped last added element {last_added} to restore feasibility")
     return RunTrace(
         algorithm="mw-packing",
         params={
@@ -377,8 +353,9 @@ def knapsack_enum(oracle, knapsack, epsilon=0.1):
 
     Evaluates every feasible set of size <= 2 directly; for each such seed T
     it additionally greedily extends T over the elements no heavier than any
-    seed member (and fitting the residual budget), with T protected from
-    Delete. Returns the best set found. Query budget O(n^4).
+    seed member (and fitting the residual budget) with mw_packing started at
+    T, which never deletes T and returns a set the knapsack accepts. Returns
+    the best set found. Query budget O(n^4).
     """
     n = oracle.n
     if len(knapsack.weights) != n:
@@ -395,14 +372,14 @@ def knapsack_enum(oracle, knapsack, epsilon=0.1):
         frozenset({i, j})
         for ii, i in enumerate(singles)
         for j in singles[ii + 1 :]
-        if weights[i] + weights[j] <= budget
+        if knapsack.is_feasible((i, j))
     ]
     for idx, T in enumerate(seeds):
         seed_val = oracle.eval(T) if T else best_val
         if seed_val > best_val:
             best_set, best_val = T, seed_val
         cand_set, cand_val = T, seed_val
-        residual = budget - sum(weights[t] for t in T)
+        residual = budget - knapsack.load(T)
         cap = min((weights[t] for t in T), default=math.inf)
         allowed = [
             j for j in range(n) if j not in T and weights[j] <= cap and weights[j] <= residual
@@ -412,17 +389,9 @@ def knapsack_enum(oracle, knapsack, epsilon=0.1):
                 # every allowed element has zero weight: extend freely
                 cand_set, cand_val = _free_extend(oracle, T, seed_val, allowed)
             else:
-                sub, _ = knapsack.to_packing(residual, allowed)
-                trace = mw_packing(
-                    oracle,
-                    sub,
-                    epsilon,
-                    start=T,
-                    protected=T,
-                    allowed=set(allowed) | set(T),
-                )
+                trace = mw_packing(oracle, knapsack, epsilon, start=T, allowed=allowed)
                 cand_set, cand_val = frozenset(trace.final_set), trace.final_value
-            if cand_val > best_val and knapsack.is_feasible(cand_set):
+            if cand_val > best_val:
                 best_set, best_val = cand_set, cand_val
         rounds.append(
             Round(

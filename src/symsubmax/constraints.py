@@ -82,12 +82,16 @@ class KnapsackConstraint:
     def n(self):
         return len(self.weights)
 
-    def is_feasible(self, S):
+    def load(self, S):
+        """The weight of S, added one at a time in ascending id, as in
+        PackingConstraint.load; every per-set knapsack sum is this one."""
         load = 0.0
-        # ascending id, one at a time: see PackingConstraint.load
         for j in sorted(_ids(S, self.n)):
             load += self.weights[j]
-        return load <= self.budget
+        return load
+
+    def is_feasible(self, S):
+        return self.load(S) <= self.budget
 
     def to_packing(self, budget=None, allowed=None):
         """Rescale to packing form with A entries in [0,1] and b >= 1.

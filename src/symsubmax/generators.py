@@ -24,7 +24,7 @@ from .oracle import (
     WeightedGraph,
     WeightedHypergraph,
     graph_cut_oracle,
-    instance_to_dict,
+    save_instance,
 )
 
 
@@ -136,9 +136,7 @@ def random_hypergraph(n, num_edges, max_arity, weight_range=(0.0, 1.0), seed=0):
 def write_instance_with_sidecar(graph, path, sidecar):
     """Write a graph instance file plus a `<path>.opt.json` sidecar describing
     the certified optimum: {"optimal_value", "witness", "certified_by"}."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(instance_to_dict(graph_cut_oracle(graph)), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    save_instance(graph_cut_oracle(graph), path)
     with open(f"{path}.opt.json", "w", encoding="utf-8") as fh:
         json.dump(sidecar, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import threading
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from operator import index
 
 import numpy as np
@@ -337,12 +337,7 @@ class ValidationReport:
     violations: list = field(default_factory=list)
 
     def to_dict(self):
-        return {
-            "valid": self.valid,
-            "mode": self.mode,
-            "checks": self.checks,
-            "violations": self.violations,
-        }
+        return asdict(self)
 
 
 def _record(report, kind, **data):

@@ -317,6 +317,18 @@ def test_knapsack_budget_below_every_weight(k3):
     assert t.final_value == 0.0
 
 
+def test_knapsack_enum_reaches_the_boundary_optimum():
+    # {0, 1, 2} loads 0.6 in ascending id, within the budget; the seed {0}
+    # extended by 1 and 2 loads 1.5 in its rescaled residual packing, over
+    # that packing's 1.4999999999999996, which used to drop 2
+    orc = graph_cut_oracle(random_graph(7, 0.6, (0.0, 2.0), seed=615699))
+    kc = KnapsackConstraint((0.45, 0.05, 0.1, 0.35, 0.7, 0.45, 0.45), 0.6)
+    t = knapsack_enum(orc, kc, epsilon=0.3)
+    opt = brute_force_opt(graph_cut_oracle(orc._payload), kc)
+    assert t.final_set == (0, 1, 2) == tuple(opt.witness)
+    assert t.final_value == opt.opt_value
+
+
 def test_knapsack_output_feasible_random():
     import random as _r
 

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from symsubmax.cli import main
+from symsubmax.generators import random_graph
 
 
 def write_json(path, obj):
@@ -61,6 +62,7 @@ def test_solve_with_exact_and_trace(k3_file, tmp_path):
             "greedy-card",
             "--exact",
             "--trace",
+            "--timing",
             "--out",
             str(out),
         ]
@@ -70,6 +72,7 @@ def test_solve_with_exact_and_trace(k3_file, tmp_path):
     assert rep["opt_value"] == 2.0
     assert rep["ratio"] == 1.0
     assert len(rep["rounds"]) == 1
+    assert rep["duration_ms"] >= 0
 
 
 def test_solve_deterministic_reruns(k3_file, card2_file, tmp_path):
@@ -104,49 +107,52 @@ def test_solve_mw_packing_on_knapsack(k3_file, tmp_path):
         tmp_path / "knap.json", {"type": "knapsack", "weights": [1, 1, 1], "budget": 2.0}
     )
     out = tmp_path / "mw.json"
-    code = main(
-        [
-            "solve",
-            "--instance",
-            k3_file,
-            "--constraint",
-            knap,
-            "--algorithm",
-            "mw-packing",
-            "--epsilon",
-            "0.5",
-            "--out",
-            str(out),
-        ]
-    )
-    assert code == 0
-    rep = json.loads(out.read_text())
-    assert rep["final_value"] == 2.0
-    assert rep["feasible"] is True
+    argv = ["solve", "--instance", k3_file, "--constraint", knap, "--algorithm", "mw-packing"]
+    argv += ["--epsilon", "0.5", "--out", str(out)]
+    for override in ([], ["--lambda-override", "3"]):
+        assert main(argv + override) == 0
+        rep = json.loads(out.read_text())
+        assert rep["final_value"] == 2.0
+        assert rep["feasible"] is True
+        assert ("lambda_override" in rep) == bool(override)
+    assert rep["lambda_override"] == rep["params"]["lambda"] == 3.0
+
+
+N9_EDGES = [
+    [0, 8, 0.7168907332779808], [1, 2, 0.056791230038824914], [1, 4, 1.4649375605538406],
+    [1, 8, 0.6702692175672156], [2, 3, 0.6710675348157122], [2, 4, 0.5413959814489258],
+    [2, 6, 0.7582365235184252], [3, 5, 1.7047460765821756], [3, 7, 1.678609850438478],
+    [4, 7, 1.8946496137302304], [7, 8, 1.7939080795024742],
+]
 
 
 def test_mw_packing_repairs_by_the_knapsacks_own_load(tmp_path):
-    # before the repair, the set is {1, 2, 5, 7}: its load in ascending id
-    # rounds to 1.05, over the budget, while the rescaled packing load fits
-    edges = [
-        [0, 8, 0.7168907332779808], [1, 2, 0.056791230038824914], [1, 4, 1.4649375605538406],
-        [1, 8, 0.6702692175672156], [2, 3, 0.6710675348157122], [2, 4, 0.5413959814489258],
-        [2, 6, 0.7582365235184252], [3, 5, 1.7047460765821756], [3, 7, 1.678609850438478],
-        [4, 7, 1.8946496137302304], [7, 8, 1.7939080795024742],
+    cases = [
+        # before the repair, the set is {1, 2, 5, 7}: its load in ascending
+        # id rounds to 1.05, over the budget, while the rescaled packing load
+        # fits
+        (N9_EDGES, [1 / 3, 0.1, 0.15, 0.45, 0.45, 0.35, 0.3, 0.45, 0.35],
+         1.0499999999999998, "0.2", [1, 2, 7], [5]),
+        # the run adds 4, 2, 0, 6, 7: {0, 2, 4, 6} already rounds to 0.8,
+        # over the budget, before 7 is added, so dropping 7 alone is not enough
+        ([list(e) for e in random_graph(9, 0.5, (0.0, 2.0), seed=1).edges],
+         [0.3, 0.15, 0.2, 0.3, 0.15, 0.2, 0.15, 0.35, 0.7],
+         0.7999999999999999, "0.3", [0, 2, 4], [7, 6]),
     ]
-    inst = write_json(tmp_path / "g.json", {"type": "graph-cut", "n": 9, "edges": edges})
-    weights = [1 / 3, 0.1, 0.15, 0.45, 0.45, 0.35, 0.3, 0.45, 0.35]
-    knap = write_json(
-        tmp_path / "knap.json",
-        {"type": "knapsack", "weights": weights, "budget": 1.0499999999999998},
-    )
     out = tmp_path / "mw.json"
-    argv = ["solve", "--instance", inst, "--constraint", knap, "--algorithm", "mw-packing"]
-    assert main(argv + ["--epsilon", "0.2", "--out", str(out)]) == 0
-    rep = json.loads(out.read_text())
-    assert rep["feasible"] is True
-    assert rep["final_set"] == [1, 2, 7]
-    assert "dropped last added element 5 to restore feasibility" in rep["warnings"]
+    for edges, weights, budget, epsilon, final_set, dropped in cases:
+        inst = write_json(tmp_path / "g.json", {"type": "graph-cut", "n": 9, "edges": edges})
+        knap = write_json(
+            tmp_path / "knap.json", {"type": "knapsack", "weights": weights, "budget": budget}
+        )
+        argv = ["solve", "--instance", inst, "--constraint", knap, "--algorithm", "mw-packing"]
+        assert main(argv + ["--epsilon", epsilon, "--out", str(out)]) == 0
+        rep = json.loads(out.read_text())
+        assert rep["feasible"] is True
+        assert rep["final_set"] == final_set
+        assert [w for w in rep["warnings"] if w.startswith("dropped")] == [
+            f"dropped last added element {j} to restore feasibility" for j in dropped
+        ]
 
 
 def test_solve_incompatible_pair(k3_file, card2_file, capsys):
@@ -247,9 +253,11 @@ def test_bench_command(tmp_path, k3_file, card2_file):
 
 def test_bench_bad_manifest(tmp_path, capsys, k3_file, card2_file):
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    assert main(["bench", "--manifest", str(bad)]) == 1
-    capsys.readouterr()
+    # not JSON, and a JSON object where a list of entries belongs
+    for text in ("{not json", json.dumps({"runs": []})):
+        bad.write_text(text)
+        assert main(["bench", "--manifest", str(bad)]) == 1
+        assert capsys.readouterr().err.startswith("error: bad manifest:")
     run = {"instance": k3_file, "constraint": card2_file, "algorithm": "sample-greedy-card"}
     # entries that are not objects, that lack a required field, or whose
     # fields have the wrong type
@@ -264,6 +272,7 @@ def test_bench_bad_manifest(tmp_path, capsys, k3_file, card2_file):
         {**run, "epsilon": 0.1, "lambda_override": float("nan")},
         {**run, "epsilon": 0.1, "instance": [k3_file]},
         {**run, "epsilon": 0.1, "algorithm": ["greedy-card"]},
+        {**run, "algorithm": "no-such-solver"},
     ):
         manifest = write_json(tmp_path / "manifest.json", [entry])
         assert main(["bench", "--manifest", manifest]) == 1
@@ -300,6 +309,7 @@ MW = "solve --algorithm mw-packing --epsilon 0.5"
         # a non-finite lambda would write NaN or Infinity into the JSON report
         (f"{MW} --lambda-override nan", K3, KNAP3),
         (f"{MW} --lambda-override inf", K3, KNAP3),
+        ("solve --algorithm sample-greedy-card", K3, CARD1),  # needs --epsilon
     ],
 )
 def test_bad_input_exits_1(tmp_path, capsys, command, instance, constraint):

@@ -10,7 +10,14 @@ from symsubmax import (
     table_oracle,
     validate,
 )
-from symsubmax.oracle import InvalidSetError, MalformedInstanceError, WeightedGraph
+from symsubmax.oracle import (
+    InvalidSetError,
+    MalformedInstanceError,
+    WeightedGraph,
+    instance_to_dict,
+    load_instance,
+    save_instance,
+)
 
 from conftest import bundled_oracles
 
@@ -118,6 +125,15 @@ def test_validate_submodularity_violation():
 def test_validate_sampled_mode(k3):
     rep = validate(k3, mode="sampled", trials=300, seed=5)
     assert rep.valid
+    # one table per sampled check that it fails
+    for values, kind in (
+        ([0, -1, -1, 0], "non-negativity"),
+        ([0, 5, 4, 0], "symmetry"),
+        ([0, 1, 1, 5], "diminishing-returns"),
+    ):
+        rep = validate(table_oracle(2, values), mode="sampled", trials=50, seed=5)
+        assert not rep.valid
+        assert kind in {v["kind"] for v in rep.violations}
 
 
 @pytest.mark.parametrize("name,orc", sorted(bundled_oracles().items()))
@@ -167,7 +183,7 @@ def test_graph_cut_matches_independent_recount():
         assert math.isclose(orc.eval_uncounted(S), recount, abs_tol=1e-9)
 
 
-def test_instance_parsing_round_trip(k3):
+def test_instance_parsing_round_trip(k3, tmp_path):
     obj = {
         "type": "graph-cut",
         "n": 3,
@@ -181,6 +197,10 @@ def test_instance_parsing_round_trip(k3):
     assert hyper.eval_uncounted({0}) == 5.0
     tab = parse_instance({"type": "table", "n": 2, "values": [0, 5, 5, 0]})
     assert tab.eval_uncounted({1}) == 5.0
+    path = tmp_path / "instance.json"
+    for o in (orc, hyper, tab):
+        save_instance(o, path)
+        assert instance_to_dict(load_instance(path)) == instance_to_dict(o)
 
 
 def test_parse_rejects_bad_instances():

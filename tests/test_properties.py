@@ -12,6 +12,7 @@ validation passes against memory budgets.
 """
 
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -327,6 +328,34 @@ def test_feasible_mask_array_matches_is_feasible(case):
     assert table.shape == (1 << n,)
     for m in range(1 << n):
         assert table[m] == c.is_feasible(_set_of(m))
+
+
+@st.composite
+def boundary_knapsack_runs(draw):
+    """(oracle, knapsack, epsilon): a non-dyadic knapsack whose budget is a
+    drawn set's ascending-id load, or one ulp below it."""
+    orc = draw(oracles(min_n=3, max_n=9))
+    weights = draw(st.lists(NON_DYADIC, min_size=orc.n, max_size=orc.n))
+    S = draw(st.sets(st.integers(0, orc.n - 1), min_size=2))
+    budget = KnapsackConstraint(tuple(weights), 1.0).load(S)
+    if draw(st.booleans()):
+        budget = math.nextafter(budget, 0.0)
+    return orc, KnapsackConstraint(tuple(weights), budget), draw(st.sampled_from([0.2, 0.3, 0.5]))
+
+
+@settings(max_examples=150)
+@given(boundary_knapsack_runs())
+# the run adds 4, 2, 0, 6, 7, and {0, 2, 4, 6} is already over the budget
+@example(
+    (
+        graph_cut_oracle(random_graph(9, 0.5, (0.0, 2.0), seed=1)),
+        KnapsackConstraint((0.3, 0.15, 0.2, 0.3, 0.15, 0.2, 0.15, 0.35, 0.7), 0.7999999999999999),
+        0.3,
+    )
+)
+def test_mw_packing_output_fits_the_knapsack(run):
+    orc, knap, eps = run
+    assert knap.is_feasible(mw_packing(orc, knap, eps).final_set)
 
 
 @st.composite
