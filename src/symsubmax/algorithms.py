@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field
+
+import numpy as np
 
 from .constraints import ExtendedMatroid, KnapsackConstraint
 from .oracle import EQ_TOL
@@ -37,6 +39,17 @@ class Round:
     cum_queries: int
     extras: dict = field(default_factory=dict)
 
+    def to_dict(self):
+        return {
+            "index": self.index,
+            "selected": self.selected,
+            "before_delete": self.before_delete,
+            "after_delete": self.after_delete,
+            "value": self.value,
+            "cum_queries": self.cum_queries,
+            "extras": dict(self.extras),
+        }
+
 
 @dataclass
 class RunTrace:
@@ -49,10 +62,15 @@ class RunTrace:
     warnings: list = field(default_factory=list)
 
     def to_dict(self, include_rounds=True):
+        # By hand, in field order: dataclasses.asdict deep-copies every leaf,
+        # which cost about 0.1 ms a report.
+        d = {"algorithm": self.algorithm, "params": dict(self.params)}
         if include_rounds:
-            return asdict(self)
-        d = asdict(replace(self, rounds=[]))
-        del d["rounds"]
+            d["rounds"] = [r.to_dict() for r in self.rounds]
+        d["final_set"] = self.final_set
+        d["final_value"] = self.final_value
+        d["total_queries"] = self.total_queries
+        d["warnings"] = list(self.warnings)
         return d
 
 
@@ -186,11 +204,9 @@ def greedy_matroid(oracle, matroid, epsilon):
     fS = oracle.eval(())  # f'(S_0) = f(empty)
     rounds = []
     for i in range(1, K + 1):
-        weight = {}
         real_S = ext.real_part(S)
-        for u in range(n):
-            if u not in S:
-                weight[u] = oracle.marginal(u, real_S, fS)
+        outside = [u for u in range(n) if u not in S]
+        weight = dict(zip(outside, oracle.marginals(outside, real_S, fS)))
         M = ext.max_weight_base(weight, excluded=S)
         g = ext.exchange_bijection(M, S)
         best_u, best_set, best_val = None, None, None
@@ -269,6 +285,9 @@ def mw_packing(oracle, packing, epsilon, *, lambda_override=None, start=frozense
     S = set(start)
     fS = oracle.eval(S)
     w = 1.0 / packing.b
+    # b as a last column of A: one pass over its rows gives every
+    # denominator and beta
+    Ab = np.column_stack((packing.A, packing.b))
     rounds = []
     warnings = []
     if W < max(math.log(packing.m), 1.0) / epsilon**2:
@@ -278,14 +297,16 @@ def mw_packing(oracle, packing, epsilon, *, lambda_override=None, start=frozense
         )
     r = 0
     while not universe <= S:
-        beta = float(packing.b @ w)
+        denoms = _weighted_row_sum(Ab, w)
+        beta = denoms[n]
         if not beta <= lam:
             break
         r += 1
         best_j, best_density, best_gain, best_denom = None, None, None, None
-        for j in sorted(universe - S):
-            gain = oracle.marginal(j, S, fS)
-            denom = float(packing.A[:, j] @ w)
+        scan = sorted(universe - S)
+        # marginals checks every id before any indexes denoms
+        for j, gain in zip(scan, oracle.marginals(scan, S, fS)):
+            denom = denoms[j]
             if denom == 0.0:
                 density = math.inf if gain > 0 else -math.inf
             else:
@@ -343,6 +364,20 @@ def mw_packing(oracle, packing, epsilon, *, lambda_override=None, start=frozense
         total_queries=oracle.query_count - start_q,
         warnings=warnings,
     )
+
+
+def _weighted_row_sum(M, w):
+    """sum_i w[i] * M[i, j] for every column j, as a list of floats.
+
+    The rows are added in ascending order, one rounded product and one
+    rounded sum at a time, so a column's value depends neither on the other
+    columns nor on the routine numpy's dot would dispatch to; with one row it
+    is the dot product bit for bit.
+    """
+    d = M[0] * w[0]
+    for i in range(1, len(w)):
+        d += M[i] * w[i]
+    return d.tolist()
 
 
 # -- Algorithm: knapsack via partial enumeration ---------------------------------

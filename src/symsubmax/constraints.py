@@ -110,8 +110,8 @@ class KnapsackConstraint:
             raise UndefinedWidthError("no allowed knapsack element has a positive weight")
         row = [0.0] * self.n
         for j in allowed:
-            row[j] = self.weights[j] / maxw
-        return PackingConstraint(np.array([row]), np.array([budget / maxw])), allowed
+            row[j] = self.weights[j]
+        return PackingConstraint(np.array([row]) / maxw, np.array([budget / maxw])), allowed
 
 
 class PackingConstraint:
@@ -120,10 +120,10 @@ class PackingConstraint:
         b = np.asarray(b, dtype=np.float64)
         if A.ndim != 2 or b.ndim != 1 or A.shape[0] != b.shape[0]:
             raise MalformedConstraintError("A must be m x n with b of length m")
-        # written so that NaN fails the comparisons
-        if not np.all((A >= 0) & (A <= 1)):
+        # min and max are NaN when an entry is, and NaN fails the comparisons
+        if A.size and not (A.min() >= 0 and A.max() <= 1):
             raise MalformedConstraintError("A entries must lie in [0, 1]")
-        if not np.all((b >= 1) & (b < np.inf)):
+        if b.size and not (b.min() >= 1 and b.max() < np.inf):
             raise MalformedConstraintError("b entries must be finite and >= 1")
         self.A = A
         self.b = b
@@ -146,12 +146,17 @@ class PackingConstraint:
         return bool(np.all(self.load(S) <= self.b))
 
     def width(self):
-        """W = min over positive entries of b_i / A_ij."""
-        pos = self.A > 0
-        if not np.any(pos):
+        """W = min over positive entries of b_i / A_ij.
+
+        Computed as the minimum over rows with a positive entry of
+        b_i / max_j A_ij: rounded division by a positive number is monotone,
+        so this is the same float.
+        """
+        top = self.A.max(axis=1, initial=0.0)
+        pos = top > 0
+        if not pos.any():
             raise UndefinedWidthError("packing matrix has no positive entry")
-        ratios = np.where(pos, self.b[:, None] / np.where(pos, self.A, 1.0), np.inf)
-        return float(ratios.min())
+        return float((self.b[pos] / top[pos]).min())
 
 
 # -- matroids ------------------------------------------------------------------

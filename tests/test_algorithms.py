@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -21,6 +23,7 @@ from symsubmax import (
     tight_example,
 )
 from symsubmax.algorithms import ParameterError
+from symsubmax.oracle import InvalidSetError
 
 from conftest import bundled_oracles
 
@@ -228,9 +231,18 @@ def test_mw_overshoot_is_repaired():
     assert p.is_feasible(t.final_set)
 
 
+def _ascending_rows(col, w):
+    """sum_i col[i] * w[i] in Python floats, adding the rows in ascending order."""
+    total = float(col[0]) * float(w[0])
+    for i in range(1, len(w)):
+        total += float(col[i]) * float(w[i])
+    return total
+
+
 @pytest.mark.parametrize("m", [1, 2])
 def test_mw_trace_extras_replay(m):
-    # beta and the denominator are read before the round's weight update
+    # beta and the denominator are read before the round's weight update, and
+    # add the rows in ascending order
     rng = np.random.default_rng(m)
     g = graph_cut_oracle(random_graph(10, 0.5, (0.5, 1.5), seed=m))
     p = PackingConstraint(rng.uniform(0.1, 1.0, (m, 10)), np.full(m, 5.0))
@@ -239,10 +251,10 @@ def test_mw_trace_extras_replay(m):
     w = 1.0 / p.b
     picked = 0
     for r in t.rounds:
-        assert r.extras["beta"] == float(p.b @ w)
+        assert r.extras["beta"] == _ascending_rows(p.b, w)
         if r.selected is None:
             continue
-        assert r.extras["denominator"] == float(p.A[:, r.selected] @ w)
+        assert r.extras["denominator"] == _ascending_rows(p.A[:, r.selected], w)
         w = w * lam ** (p.A[:, r.selected] / p.b)
         picked += 1
     assert picked >= 5 and t.rounds[-1].selected is None
@@ -353,3 +365,40 @@ def test_all_traces_count_matches_counter():
     t2 = sample_greedy_cardinality(orc, 3, 0.2, seed=0)
     t3 = greedy_matroid(orc, UniformMatroid(3, 8), 0.1)
     assert orc.query_count == t1.total_queries + t2.total_queries + t3.total_queries
+
+
+def _every_solver_run():
+    g = graph_cut_oracle(random_graph(9, 0.6, (0.1, 2.0), seed=8))
+    knap = KnapsackConstraint((0.3, 0.7, 0.2, 0.9, 0.1, 0.6, 1 / 3, 0.4, 0.5), 1.6)
+    pack = PackingConstraint(np.full((2, 9), 0.3), np.array([1.0, 1.2]))
+    return {
+        "greedy-card": greedy_cardinality(g, 3),
+        "sample-greedy-card": sample_greedy_cardinality(g, 3, 0.3, seed=2),
+        "greedy-matroid": greedy_matroid(g, UniformMatroid(3, 9), 0.2),
+        "mw-packing": mw_packing(g, pack, 0.3),
+        "mw-packing-knapsack": mw_packing(g, knap, 0.3),
+        "knapsack-enum": knapsack_enum(g, knap),
+    }
+
+
+@pytest.mark.parametrize("traced", [True, False])
+def test_report_dict_equals_asdict(traced):
+    # the hand-written dicts give the reports dataclasses.asdict gave
+    runs = _every_solver_run()
+    assert runs["mw-packing"].warnings  # a non-empty list is covered
+    for name, t in runs.items():
+        want = dataclasses.asdict(t)
+        if not traced:
+            del want["rounds"]
+        got = t.to_dict(include_rounds=traced)
+        assert got == want, name
+        assert json.dumps(got) == json.dumps(want), name
+
+
+def test_mw_rejects_allowed_ids_outside_the_ground_set():
+    # the scan's marginals reject an id before it can index a denominator
+    g = graph_cut_oracle(random_graph(5, 1.0, (1.0, 1.0), seed=0))
+    p = PackingConstraint(np.full((1, 5), 0.1), np.array([1.0]))
+    for bad in (5, -1, 1.0):
+        with pytest.raises(InvalidSetError):
+            mw_packing(g, p, 0.3, allowed=[0, bad])

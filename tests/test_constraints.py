@@ -212,6 +212,9 @@ def test_malformed_constraints_raise():
         {"type": "knapsack", "weights": [1.0, 1.0], "budget": float("inf")},
         {"type": "knapsack", "weights": [1.0, 1.0], "budget": float("nan")},
         {"type": "packing", "A": [[0.5, float("nan")]], "b": [1.0]},
+        {"type": "packing", "A": [[float("nan"), 0.5], [0.2, 0.3]], "b": [1.0, 1.0]},
+        {"type": "packing", "A": [[0.5, -0.5]], "b": [1.0]},
+        {"type": "packing", "A": [[0.5, 1.0], [0.2, 0.3]], "b": [1.0, float("nan")]},
         {"type": "packing", "A": [[0.5, 1.0]], "b": [float("inf")]},
         {"type": "packing", "A": [[0.5, 1.0]], "b": [float("nan")]},
         {"type": "cardinality"},  # missing k

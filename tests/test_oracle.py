@@ -1,12 +1,17 @@
+import dataclasses
+import json
 import math
+import threading
 
 import numpy as np
 import pytest
 
 from symsubmax import (
     graph_cut_oracle,
+    hypergraph_cut_oracle,
     parse_instance,
     random_graph,
+    random_hypergraph,
     table_oracle,
     validate,
 )
@@ -58,6 +63,21 @@ def test_set_arguments_must_be_integer_ids(k3, bad):
     assert k3.query_count == 0
 
 
+@pytest.mark.parametrize(
+    "bad", [-1, 3, 2**70, np.int64(3), np.int64(-1)], ids=["-1", "3", "2^70", "np.3", "np.-1"]
+)
+def test_ids_outside_the_ground_set_are_rejected(k3, bad):
+    with pytest.raises(InvalidSetError):
+        k3.eval({bad})
+    with pytest.raises(InvalidSetError):
+        k3.eval_uncounted([0, bad])
+    with pytest.raises(InvalidSetError):
+        k3.marginal(bad, set(), 0.0)
+    with pytest.raises(InvalidSetError):
+        k3.marginals([0, bad], set(), 0.0)
+    assert k3.query_count == 0
+
+
 def test_numpy_integer_ids_pass(k3):
     assert k3.eval(np.array([0, 2])) == k3.eval({0, 2})
     assert k3.marginal(np.int64(1), {np.uint8(0)}, 2.0) == k3.marginal(1, {0}, 2.0)
@@ -84,6 +104,43 @@ def test_marginal_examples(k3):
 def test_marginal_requires_u_outside(k3):
     with pytest.raises(InvalidSetError):
         k3.marginal(0, {0}, 2.0)
+
+
+def _marginals_cases():
+    """(oracle, S) on graph, hypergraph and table oracles, with and
+    without a built table, and on a graph whose masks pass 64 bits."""
+    g = graph_cut_oracle(random_graph(12, 0.5, (0.1, 2.0), seed=4))
+    h = hypergraph_cut_oracle(random_hypergraph(11, 15, 4, (0.1, 1.0), seed=5))
+    tabled = graph_cut_oracle(random_graph(12, 0.5, (0.1, 2.0), seed=4))
+    tabled.value_table()
+    t = table_oracle(6, graph_cut_oracle(random_graph(6, 0.7, (0.3, 1.7), seed=6)).value_table())
+    big = graph_cut_oracle(random_graph(80, 0.1, (0.1, 1.0), seed=7))
+    return [
+        pytest.param(g, {1, 4, 7}, id="graph"),
+        pytest.param(h, {0, 5, 9, 10}, id="hypergraph"),
+        pytest.param(tabled, {2, 3}, id="graph-tabled"),
+        pytest.param(t, {0, 5}, id="table"),
+        pytest.param(big, {3, 40, 66, 79}, id="graph-n80"),
+    ]
+
+
+@pytest.mark.parametrize("orc, S", _marginals_cases())
+def test_marginals_equal_marginal_bit_for_bit(orc, S):
+    fS = orc.eval(S)
+    cands = [u for u in range(orc.n) if u not in S]
+    one_by_one = [orc.marginal(u, S, fS) for u in cands]
+    before = orc.query_count
+    batched = orc.marginals(cands, S, fS)
+    assert orc.query_count - before == len(cands)
+    assert [float(v).hex() for v in batched] == [float(v).hex() for v in one_by_one]
+    assert orc.marginals([], S, fS) == [] and orc.query_count - before == len(cands)
+
+
+def test_marginals_reject_bad_arguments_without_counting(k3):
+    for cands, S in (([2, 5], {0}), ([2, True], {0}), ([1, 2], {0, 1}), ([2], {0, 1.0})):
+        with pytest.raises(InvalidSetError):
+            k3.marginals(cands, S, 2.0)
+    assert k3.query_count == 0
 
 
 def test_query_counter(k3):
@@ -241,8 +298,6 @@ def test_parse_rejects_bad_instances():
 
 
 def test_concurrent_counting():
-    import threading
-
     orc = graph_cut_oracle(random_graph(8, 0.5, (0.0, 1.0), seed=1))
 
     def hammer():
@@ -255,3 +310,30 @@ def test_concurrent_counting():
     for t in threads:
         t.join()
     assert orc.query_count == 2000
+
+
+def test_concurrent_batched_counting():
+    orc = graph_cut_oracle(random_graph(8, 0.5, (0.0, 1.0), seed=1))
+    fS = orc.eval_uncounted({0, 3})
+
+    def hammer():
+        for _ in range(500):
+            orc.marginals([1, 2, 5], {0, 3}, fS)
+
+    threads = [threading.Thread(target=hammer) for _ in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert orc.query_count == 6000
+
+
+def test_validation_report_dict_equals_asdict():
+    valid = validate(table_oracle(2, [0, 5, 5, 0]))
+    broken = validate(table_oracle(3, [0, 1, 1, 5, 2, 0, 3, -1]))
+    sampled = validate(table_oracle(2, [0, 5, 4, 0]), mode="sampled", trials=50, seed=5)
+    assert not broken.valid and not sampled.valid
+    for rep in (valid, broken, sampled):
+        d = rep.to_dict()
+        assert d == dataclasses.asdict(rep)
+        assert json.dumps(d) == json.dumps(dataclasses.asdict(rep))

@@ -13,6 +13,8 @@ validation passes against memory budgets.
 
 import json
 import math
+import os
+import tempfile
 import tracemalloc
 
 import numpy as np
@@ -34,16 +36,20 @@ from symsubmax import (
     greedy_matroid,
     hypergraph_cut_oracle,
     knapsack_enum,
+    load_constraint,
     mw_packing,
     parse_instance,
     random_graph,
     random_hypergraph,
     sample_greedy_cardinality,
+    save_instance,
     table_oracle,
     validate,
 )
+from symsubmax import cli
 from symsubmax.algorithms import ParameterError
-from symsubmax.constraints import ConstraintError
+from symsubmax.cli import SOLVERS
+from symsubmax.constraints import ConstraintError, UndefinedWidthError, constraint_to_dict
 from symsubmax.exact import feasible_mask_array
 from symsubmax.oracle import EQ_TOL, ROW_BITS, _set_of
 
@@ -356,6 +362,123 @@ def boundary_knapsack_runs(draw):
 def test_mw_packing_output_fits_the_knapsack(run):
     orc, knap, eps = run
     assert knap.is_feasible(mw_packing(orc, knap, eps).final_set)
+
+
+@st.composite
+def boundary_budget(draw, weights, floor=0.0):
+    """The smallest rounded load of a drawn set of at least two members, or
+    one ulp below it, and at least `floor`."""
+    S = draw(st.sets(st.integers(0, len(weights) - 1), min_size=2))
+    budget = min(rounded_loads(weights, S))
+    if draw(st.booleans()):
+        budget = math.nextafter(budget, 0.0)
+    return max(floor, float(budget))
+
+
+@st.composite
+def cli_solves(draw):
+    """(oracle, constraint, algorithm, epsilon) for every solver the CLI
+    runs; knapsack and packing budgets sit on a rounded non-dyadic load."""
+    orc = draw(oracles(min_n=3, max_n=8))
+    n = orc.n
+    algorithm = draw(st.sampled_from(sorted(SOLVERS)))
+    kind = {
+        "greedy-card": "cardinality",
+        "sample-greedy-card": "cardinality",
+        "greedy-matroid": draw(st.sampled_from(["uniform", "partition"])),
+        "mw-packing": draw(st.sampled_from(["knapsack", "packing"])),
+        "knapsack-enum": "knapsack",
+    }[algorithm]
+    k = draw(st.integers(1, n))
+    if kind == "cardinality":
+        c = CardinalityConstraint(k)
+    elif kind == "uniform":
+        c = UniformMatroid(k, n)
+    elif kind == "partition":
+        c = PartitionMatroid([range(n // 2), range(n // 2, n)], [1, 2])
+    elif kind == "knapsack":
+        weights = draw(st.lists(NON_DYADIC, min_size=n, max_size=n))
+        c = KnapsackConstraint(tuple(weights), draw(boundary_budget(weights)))
+    else:
+        rows = draw(st.lists(st.lists(NON_DYADIC, min_size=n, max_size=n), min_size=1, max_size=3))
+        c = PackingConstraint(np.array(rows), np.array([draw(boundary_budget(r, 1.0)) for r in rows]))
+    return orc, c, algorithm, draw(st.sampled_from([0.2, 0.3, 0.5]))
+
+
+@settings(max_examples=150)
+@given(cli_solves())
+def test_every_solver_output_fits_the_loaded_constraint(run):
+    orc, c, algorithm, eps = run
+    with tempfile.TemporaryDirectory() as tmp:
+        inst, cons, out = (os.path.join(tmp, f) for f in ("i.json", "c.json", "r.json"))
+        save_instance(orc, inst)
+        with open(cons, "w", encoding="utf-8") as fh:
+            json.dump(constraint_to_dict(c), fh)
+        argv = ["solve", "--instance", inst, "--constraint", cons, "--algorithm", algorithm]
+        rc = cli.main(argv + ["--epsilon", repr(eps), "--out", out])
+        with open(out, encoding="utf-8") as fh:
+            report = json.load(fh)
+        loaded = load_constraint(cons, n=orc.n)
+    assert rc == 0 and report["feasible"]
+    assert loaded.is_feasible(report["final_set"])
+
+
+@settings(max_examples=150)
+@given(st.one_of(constrained(max_n=9), boundary_constraints()), st.integers(0, 2**16))
+def test_brute_force_witness_is_feasible(case, seed):
+    n, c = case
+    orc = graph_cut_oracle(random_graph(n, 0.5, (0.0, 2.0), seed=seed))
+    assert c.is_feasible(brute_force_opt(orc, c).witness)
+
+
+@settings(max_examples=100)
+@given(
+    st.integers(2, 12),
+    st.lists(st.floats(min_value=0.01, max_value=1.0), min_size=12, max_size=12),
+    st.floats(min_value=1.0, max_value=50.0),
+    st.integers(0, 2**16),
+)
+def test_one_row_denominators_equal_the_dot_product(n, row, b, seed):
+    # with one row, the ascending-row rule is numpy's dot bit for bit: the
+    # replay below is the one mw_packing's trace was pinned to before
+    orc = graph_cut_oracle(random_graph(n, 0.6, (0.1, 2.0), seed=seed))
+    p = PackingConstraint(np.array([row[:n]]), np.array([b]))
+    t = mw_packing(orc, p, 0.3)
+    lam = t.params["lambda"]
+    w = 1.0 / p.b
+    for r in t.rounds:
+        assert r.extras["beta"] == float(p.b @ w)
+        if r.selected is not None:
+            assert r.extras["denominator"] == float(p.A[:, r.selected] @ w)
+            w = w * lam ** (p.A[:, r.selected] / p.b)
+
+
+@settings(max_examples=300)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda m: st.tuples(
+            st.lists(
+                st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=6, max_size=6),
+                min_size=m,
+                max_size=m,
+            ),
+            st.lists(st.floats(min_value=1.0, max_value=1e6), min_size=m, max_size=m),
+        )
+    )
+)
+# subnormal entries overflow b / A to inf, in both forms
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_width_equals_the_entrywise_minimum(Ab):
+    A, b = np.array(Ab[0]), np.array(Ab[1])
+    p = PackingConstraint(A, b)
+    pos = A > 0
+    if not pos.any():
+        with pytest.raises(UndefinedWidthError):
+            p.width()
+        return
+    # the definition, one ratio per positive entry
+    entrywise = np.where(pos, b[:, None] / np.where(pos, A, 1.0), np.inf).min()
+    assert p.width() == float(entrywise)
 
 
 @st.composite
