@@ -74,8 +74,31 @@ class RunTrace:
         return d
 
 
-def _sorted_tuple(S):
-    return tuple(sorted(S))
+class _Run:
+    """A solver run's rounds, and its queries counted from the run's start."""
+
+    def __init__(self, oracle):
+        self._oracle = oracle
+        self._start = oracle.query_count
+        self.rounds = []
+
+    def _queries(self):
+        return self._oracle.query_count - self._start
+
+    def round(self, index, selected, before, after, value, extras):
+        before, after = tuple(sorted(before)), tuple(sorted(after))
+        self.rounds.append(Round(index, selected, before, after, value, self._queries(), extras))
+
+    def trace(self, algorithm, params, final_set, final_value, warnings=()):
+        return RunTrace(
+            algorithm=algorithm,
+            params=params,
+            rounds=self.rounds,
+            final_set=tuple(sorted(final_set)),
+            final_value=final_value,
+            total_queries=self._queries(),
+            warnings=list(warnings),
+        )
 
 
 # -- Delete --------------------------------------------------------------------
@@ -140,10 +163,9 @@ def _cardinality_rounds(oracle, k, algorithm, params, draw=None):
     only the subset `draw(pool)` of them (recorded in the round's extras),
     picks the largest marginal, then runs Delete.
     """
-    start_q = oracle.query_count
+    run = _Run(oracle)
     S = set()
     fS = oracle.eval(S)
-    rounds = []
     for i in range(1, k + 1):
         cands = sorted(set(range(oracle.n)) - S)
         extras = {}
@@ -158,25 +180,8 @@ def _cardinality_rounds(oracle, k, algorithm, params, draw=None):
                 best_u, best_gain = u, gain
         before = S | {best_u}
         S, fS = delete(oracle, before, fS + best_gain)
-        rounds.append(
-            Round(
-                index=i,
-                selected=best_u,
-                before_delete=_sorted_tuple(before),
-                after_delete=_sorted_tuple(S),
-                value=fS,
-                cum_queries=oracle.query_count - start_q,
-                extras=extras,
-            )
-        )
-    return RunTrace(
-        algorithm=algorithm,
-        params=params,
-        rounds=rounds,
-        final_set=_sorted_tuple(S),
-        final_value=fS,
-        total_queries=oracle.query_count - start_q,
-    )
+        run.round(i, best_u, before, S, fS, extras)
+    return run.trace(algorithm, params, S, fS)
 
 
 # -- Algorithm: exchange greedy under a matroid ---------------------------------
@@ -199,10 +204,9 @@ def greedy_matroid(oracle, matroid, epsilon):
     ext = ExtendedMatroid(matroid, n)
     k = ext.k
     K = math.ceil((k / 3) * math.log(1.0 / epsilon))
-    start_q = oracle.query_count
+    run = _Run(oracle)
     S = set(ext.dummies[:k])  # base of k dummies
     fS = oracle.eval(())  # f'(S_0) = f(empty)
-    rounds = []
     for i in range(1, K + 1):
         real_S = ext.real_part(S)
         outside = [u for u in range(n) if u not in S]
@@ -222,26 +226,9 @@ def greedy_matroid(oracle, matroid, epsilon):
         before = best_set
         real_after, fS = delete(oracle, ext.real_part(before), best_val)
         S = ext.pad_to_base(real_after | {d for d in before if ext.is_dummy(d)})
-        rounds.append(
-            Round(
-                index=i,
-                selected=best_u,
-                before_delete=_sorted_tuple(before),
-                after_delete=_sorted_tuple(S),
-                value=fS,
-                cum_queries=oracle.query_count - start_q,
-                extras={"swapped_out": g[best_u], "base": sorted(M)},
-            )
-        )
-    final_real = ext.real_part(S)
-    return RunTrace(
-        algorithm="greedy-matroid",
-        params={"k": k, "n": n, "epsilon": epsilon, "K": K},
-        rounds=rounds,
-        final_set=_sorted_tuple(final_real),
-        final_value=fS,
-        total_queries=oracle.query_count - start_q,
-    )
+        run.round(i, best_u, before, S, fS, {"swapped_out": g[best_u], "base": sorted(M)})
+    params = {"k": k, "n": n, "epsilon": epsilon, "K": K}
+    return run.trace("greedy-matroid", params, ext.real_part(S), fS)
 
 
 # -- Algorithm: multiplicative weights under packing ----------------------------
@@ -276,19 +263,29 @@ def mw_packing(oracle, packing, epsilon, *, lambda_override=None, start=frozense
     if not 0 < epsilon < 1:
         raise ParameterError(f"need 0 < epsilon < 1, got {epsilon}")
     W = packing.width()  # raises UndefinedWidthError on all-zero A
-    lam = float(lambda_override) if lambda_override is not None else math.exp(epsilon * W)
-    if not lam > 1:  # NaN fails it too
-        raise ParameterError(f"lambda must exceed 1, got {lam}")
+    if lambda_override is not None:
+        lam = float(lambda_override)
+    else:
+        try:
+            lam = math.exp(epsilon * W)  # inf when W is, from a subnormal entry
+        except OverflowError:
+            lam = math.inf
+        if lam == math.inf:
+            raise ParameterError(
+                f"lambda = e^(epsilon * width) = e^{epsilon * W:.6g} is not a finite float;"
+                " give a smaller epsilon, or mw-packing a finite --lambda-override"
+            )
+    if not 1 < lam < math.inf:  # NaN fails it too
+        raise ParameterError(f"lambda must be finite and exceed 1, got {lam}")
     universe = set(range(n)) if allowed is None else set(allowed)
     start = frozenset(start)
-    start_q = oracle.query_count
+    run = _Run(oracle)
     S = set(start)
     fS = oracle.eval(S)
     w = 1.0 / packing.b
     # b as a last column of A: one pass over its rows gives every
     # denominator and beta
     Ab = np.column_stack((packing.A, packing.b))
-    rounds = []
     warnings = []
     if W < max(math.log(packing.m), 1.0) / epsilon**2:
         warnings.append(
@@ -314,56 +311,24 @@ def mw_packing(oracle, packing, epsilon, *, lambda_override=None, start=frozense
             if best_density is None or density > best_density + EQ_TOL:
                 best_j, best_density, best_gain, best_denom = j, density, gain, denom
         if best_gain is None or best_gain <= 0:
-            rounds.append(
-                Round(
-                    index=r,
-                    selected=None,
-                    before_delete=_sorted_tuple(S),
-                    after_delete=_sorted_tuple(S),
-                    value=fS,
-                    cum_queries=oracle.query_count - start_q,
-                    extras={"break": "no positive marginal", "beta": beta},
-                )
-            )
+            run.round(r, None, S, S, fS, {"break": "no positive marginal", "beta": beta})
             break
         j = best_j
         before = set(S) | {j}
         S, fS = delete(oracle, before, fS + best_gain, protected=start)
         w = w * lam ** (packing.A[:, j] / packing.b)
-        rounds.append(
-            Round(
-                index=r,
-                selected=j,
-                before_delete=_sorted_tuple(before),
-                after_delete=_sorted_tuple(S),
-                value=fS,
-                cum_queries=oracle.query_count - start_q,
-                extras={"beta": beta, "denominator": best_denom, "gain": best_gain},
-            )
-        )
+        extras = {"beta": beta, "denominator": best_denom, "gain": best_gain}
+        run.round(r, j, before, S, fS, extras)
     if not constraint.is_feasible(S):
-        for rd in reversed(rounds):
+        for rd in reversed(run.rounds):
             if rd.selected in S:
                 S.discard(rd.selected)
                 warnings.append(f"dropped last added element {rd.selected} to restore feasibility")
                 if constraint.is_feasible(S):
                     break
         fS = oracle.eval(S)
-    return RunTrace(
-        algorithm="mw-packing",
-        params={
-            "n": n,
-            "m": packing.m,
-            "epsilon": epsilon,
-            "lambda": lam,
-            "width": W,
-        },
-        rounds=rounds,
-        final_set=_sorted_tuple(S),
-        final_value=fS,
-        total_queries=oracle.query_count - start_q,
-        warnings=warnings,
-    )
+    params = {"n": n, "m": packing.m, "epsilon": epsilon, "lambda": lam, "width": W}
+    return run.trace("mw-packing", params, S, fS, warnings)
 
 
 def _weighted_row_sum(M, w):
@@ -397,9 +362,8 @@ def knapsack_enum(oracle, knapsack, epsilon=0.1):
         raise ParameterError("knapsack weights must match the ground set")
     weights = knapsack.weights
     budget = knapsack.budget
-    start_q = oracle.query_count
+    run = _Run(oracle)
     best_set, best_val = frozenset(), oracle.eval(())
-    rounds = []
     singles = [j for j in range(n) if weights[j] <= budget]
     seeds = [frozenset()]
     seeds += [frozenset({j}) for j in singles]
@@ -428,25 +392,9 @@ def knapsack_enum(oracle, knapsack, epsilon=0.1):
                 cand_set, cand_val = frozenset(trace.final_set), trace.final_value
             if cand_val > best_val:
                 best_set, best_val = cand_set, cand_val
-        rounds.append(
-            Round(
-                index=idx,
-                selected=sorted(T),
-                before_delete=_sorted_tuple(T),
-                after_delete=_sorted_tuple(cand_set),
-                value=cand_val,
-                cum_queries=oracle.query_count - start_q,
-                extras={"best_so_far": best_val},
-            )
-        )
-    return RunTrace(
-        algorithm="knapsack-enum",
-        params={"n": n, "budget": budget, "epsilon": epsilon},
-        rounds=rounds,
-        final_set=_sorted_tuple(best_set),
-        final_value=best_val,
-        total_queries=oracle.query_count - start_q,
-    )
+        run.round(idx, sorted(T), T, cand_set, cand_val, {"best_so_far": best_val})
+    params = {"n": n, "budget": budget, "epsilon": epsilon}
+    return run.trace("knapsack-enum", params, best_set, best_val)
 
 
 def _free_extend(oracle, T, fT, allowed):

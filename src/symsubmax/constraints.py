@@ -156,7 +156,8 @@ class PackingConstraint:
         pos = top > 0
         if not pos.any():
             raise UndefinedWidthError("packing matrix has no positive entry")
-        return float((self.b[pos] / top[pos]).min())
+        with np.errstate(over="ignore"):  # inf past a subnormal entry; mw_packing rejects it
+            return float((self.b[pos] / top[pos]).min())
 
 
 # -- matroids ------------------------------------------------------------------

@@ -47,6 +47,10 @@ class WeightedGraph:
     edges: tuple  # of (u, v, w)
 
     def __post_init__(self):
+        # every cut value adds some of the weights in edge order, so it is at
+        # most their total in edge order (rounding is monotone): a finite
+        # total keeps every cut value finite
+        total = 0.0
         for u, v, w in self.edges:
             if u == v:
                 raise MalformedInstanceError(f"self-loop at vertex {u}")
@@ -56,6 +60,9 @@ class WeightedGraph:
                 raise MalformedInstanceError(
                     f"weight {w} on edge ({u},{v}) is negative or not finite"
                 )
+            total += w
+        if total == np.inf:
+            raise MalformedInstanceError("edge weights do not sum to a finite total")
 
 
 @dataclass(frozen=True)
@@ -64,6 +71,7 @@ class WeightedHypergraph:
     hyperedges: tuple  # of (frozenset of members, w)
 
     def __post_init__(self):
+        total = 0.0  # must stay finite, as for WeightedGraph
         for members, w in self.hyperedges:
             if len(members) < 2:
                 raise MalformedInstanceError("hyperedge needs at least 2 members")
@@ -71,6 +79,9 @@ class WeightedHypergraph:
                 raise MalformedInstanceError("hyperedge member outside ground set")
             if not 0 <= w < np.inf:
                 raise MalformedInstanceError(f"hyperedge weight {w} is negative or not finite")
+            total += w
+        if total == np.inf:
+            raise MalformedInstanceError("hyperedge weights do not sum to a finite total")
 
 
 def as_int(x):
@@ -375,14 +386,15 @@ def _record(report, kind, **data):
     report.violations.append({"kind": kind, **data})
 
 
-def validate(oracle, mode="exhaustive", trials=1000, seed=0, tol=EQ_TOL):
+def validate(oracle, mode="exhaustive", trials=1000, seed=0):
     """Check non-negativity, symmetry and submodularity of an oracle.
 
     Exhaustive mode (n <= 20) checks every subset for non-negativity and
     symmetry, and every (S, u, v) local submodularity condition
     f(S+u) + f(S+v) >= f(S+u+v) + f(S), which is equivalent to full
-    submodularity. Sampled mode checks random (S, T, u) diminishing-returns
-    triples plus symmetry/non-negativity on the sampled sets.
+    submodularity. Sampled mode checks `trials` >= 1 random (S, T, u)
+    diminishing-returns triples plus symmetry/non-negativity on the sampled
+    sets. Values within EQ_TOL count as equal.
 
     Violations are report content, never exceptions.
     """
@@ -390,16 +402,18 @@ def validate(oracle, mode="exhaustive", trials=1000, seed=0, tol=EQ_TOL):
     if mode == "exhaustive":
         if n > 20:
             raise InvalidSetError(f"exhaustive validation capped at n=20, got n={n}")
-        return _validate_exhaustive(oracle, tol)
-    return _validate_sampled(oracle, trials, seed, tol)
+        return _validate_exhaustive(oracle)
+    if trials < 1:
+        raise OracleError(f"sampled validation needs trials >= 1, got {trials}")
+    return _validate_sampled(oracle, trials, seed)
 
 
-def _validate_exhaustive(oracle, tol):
+def _validate_exhaustive(oracle):
     n = oracle.n
     vals = oracle.value_table()
     report = ValidationReport(valid=True, mode="exhaustive", checks=0)
 
-    bad = np.nonzero(vals < -tol)[0]
+    bad = np.nonzero(vals < -EQ_TOL)[0]
     for m in bad[:50]:
         _record(report, "non-negativity", S=_set_of(int(m)), value=float(vals[m]))
     report.checks += len(vals)
@@ -407,7 +421,7 @@ def _validate_exhaustive(oracle, tol):
     # the complement of mask m is 2^n - 1 - m
     comp = vals[::-1]
     gap = vals - comp
-    bad = np.nonzero(np.abs(gap, out=gap) > tol)[0]
+    bad = np.nonzero(np.abs(gap, out=gap) > EQ_TOL)[0]
     del gap
     for m in bad[:50]:
         _record(
@@ -420,16 +434,17 @@ def _validate_exhaustive(oracle, tol):
     report.checks += len(vals)
 
     # Submodularity fails for (u, v) at S when f(S+u) + f(S+v) < f(S+u+v) +
-    # f(S) - tol. In exact arithmetic that reads d(S+v) - d(S) > tol, for the
-    # marginals d(S) = f(S+u) - f(S) of u. Each form rounds three times, by
-    # at most 2^-53 of a value below 4 big + |tol| each time, so wherever the
-    # first holds, the screen d(S+v) - d(S) > tol - slack holds too. Only the
+    # f(S) - tol, for tol = EQ_TOL. In exact arithmetic that reads
+    # d(S+v) - d(S) > tol, for the marginals d(S) = f(S+u) - f(S) of u. Each
+    # form rounds three times, by at most 2^-53 of a value below 4 big + tol
+    # each time, so wherever the first holds, the screen
+    # d(S+v) - d(S) > tol - slack holds too. Only the
     # sets the screen flags are tested as first written, with the operands in
     # that order. The bound needs every sum to be finite: from big = 2^1021
     # on, the screen is NaN and flags every set.
     big = max(float(vals.max()), -float(vals.min()))
-    slack = 16 * np.finfo(np.float64).eps * (big + abs(tol))
-    screen = tol - slack if big < 2.0**1021 else np.nan
+    slack = 16 * np.finfo(np.float64).eps * (big + EQ_TOL)
+    screen = EQ_TOL - slack if big < 2.0**1021 else np.nan
     marg = np.empty(len(vals) >> 1)
     step = np.empty(len(vals) >> 2)
     calm = np.empty(len(step), dtype=bool)
@@ -448,7 +463,7 @@ def _validate_exhaustive(oracle, tol):
             flagged = ~calm.reshape(q[:, 0, :, 0].shape)
             lhs = q[:, 0, :, 1][flagged] + q[:, 1, :, 0][flagged]
             rhs = q[:, 1, :, 1][flagged] + q[:, 0, :, 0][flagged]
-            bad = np.flatnonzero(lhs < rhs - tol)[:5]
+            bad = np.flatnonzero(lhs < rhs - EQ_TOL)[:5]
             where = np.flatnonzero(flagged)[bad]
             for i, j in zip(where, bad):
                 _record(
@@ -469,7 +484,7 @@ def _insert_zero_bits(i, u, v):
     return i
 
 
-def _validate_sampled(oracle, trials, seed, tol):
+def _validate_sampled(oracle, trials, seed):
     import random
 
     rng = random.Random(seed)
@@ -481,17 +496,17 @@ def _validate_sampled(oracle, trials, seed, tol):
         S = {u for u in T if rng.random() < 0.5}
         fT = oracle.eval_uncounted(T)
         fS = oracle.eval_uncounted(S)
-        if fT < -tol:
+        if fT < -EQ_TOL:
             _record(report, "non-negativity", S=sorted(T), value=fT)
         fTc = oracle.eval_uncounted(full - T)
-        if abs(fT - fTc) > tol:
+        if abs(fT - fTc) > EQ_TOL:
             _record(report, "symmetry", S=sorted(T), value=fT, complement_value=fTc)
         outside = sorted(full - T)
         if outside:
             u = rng.choice(outside)
             gS = oracle.eval_uncounted(S | {u}) - fS
             gT = oracle.eval_uncounted(T | {u}) - fT
-            if gS < gT - tol:
+            if gS < gT - EQ_TOL:
                 _record(
                     report,
                     "diminishing-returns",

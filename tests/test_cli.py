@@ -286,7 +286,10 @@ NO_WEIGHT = {"type": "graph-cut", "n": 2, "edges": [[0, 1]]}
 CARD1 = {"type": "cardinality", "k": 1}
 K3 = {"type": "graph-cut", "n": 3, "edges": [[0, 1, 1.0], [1, 2, 1.0], [0, 2, 1.0]]}
 KNAP3 = {"type": "knapsack", "weights": [1, 1, 1], "budget": 2}
+KNAP3_WIDE = {"type": "knapsack", "weights": [1, 1, 1], "budget": 1e4}  # width 1e4
 MW = "solve --algorithm mw-packing --epsilon 0.5"
+# every cut is at most the total weight, which overflows here
+K3_HUGE = {"type": "graph-cut", "n": 3, "edges": [[0, 1, 1e308], [1, 2, 1e308], [0, 2, 1e308]]}
 
 
 @pytest.mark.parametrize(
@@ -310,6 +313,15 @@ MW = "solve --algorithm mw-packing --epsilon 0.5"
         (f"{MW} --lambda-override nan", K3, KNAP3),
         (f"{MW} --lambda-override inf", K3, KNAP3),
         ("solve --algorithm sample-greedy-card", K3, CARD1),  # needs --epsilon
+        ("solve", K3_HUGE, CARD1),
+        ("verify --exhaustive", K3_HUGE, None),
+        # lambda = e^(eps W) is not a finite float: eps W overflows exp, or a
+        # subnormal entry makes W infinite
+        (MW, K3, {"type": "packing", "A": [[1, 0.5, 0.2]], "b": [5000]}),
+        (MW, K3, {"type": "packing", "A": [[5e-324, 1e-320, 0]], "b": [1]}),
+        ("solve --algorithm knapsack-enum", K3, KNAP3_WIDE),
+        ("verify --trials 0", K3, None),
+        ("verify --trials -5", K3, None),
     ],
 )
 def test_bad_input_exits_1(tmp_path, capsys, command, instance, constraint):
@@ -317,8 +329,9 @@ def test_bad_input_exits_1(tmp_path, capsys, command, instance, constraint):
     argv = [command, "--instance", write_json(tmp_path / "i.json", instance)]
     if constraint is not None:
         argv += ["--constraint", write_json(tmp_path / "c.json", constraint)]
-    if command == "solve":
-        argv += options or ["--algorithm", "greedy-card"]
+    if command == "solve" and not options:
+        options = ["--algorithm", "greedy-card"]
+    argv += options
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1

@@ -1,11 +1,12 @@
-"""Golden digests of the 2^n layer.
+"""Golden digests of the 2^n layer and of the solvers' traces.
 
 Four SHA-256 digests pin the exact bytes that the 2^n passes give on seeded
 instances: the value tables of graph cuts and of hypergraph cuts at
 n = 0-20, the exhaustive validation reports of perturbed tables, and the
 brute-force optima under each constraint kind. A rewrite of the table
 build, the validation or the brute force that moves any of these bytes
-fails here. The instances are drawn with `random.Random` in this file, so
+fails here. A fifth pins every solver's full trace, round records included.
+The instances are drawn with `random.Random` in this file, so
 that a change to the package's generators does not move the digests.
 """
 
@@ -26,7 +27,12 @@ from symsubmax import (
     WeightedHypergraph,
     brute_force_opt,
     graph_cut_oracle,
+    greedy_cardinality,
+    greedy_matroid,
     hypergraph_cut_oracle,
+    knapsack_enum,
+    mw_packing,
+    sample_greedy_cardinality,
     table_oracle,
     validate,
 )
@@ -119,12 +125,47 @@ def brute_force_digest():
     return h.hexdigest()
 
 
-# computed with the table build, validation and brute force of commit c5ff554
+def solver_trace_digest():
+    """Every solver's trace, rounds included, on a graph and a hypergraph.
+
+    The runs reach every place a solver records a round: both cardinality
+    solvers, the matroid greedy on a uniform and a partition matroid,
+    mw_packing on a tight 2-row packing, on a loose one that ends on a
+    "no positive marginal" break round and on a knapsack whose final set is
+    repaired (on the graph), and knapsack_enum with two zero-weight elements,
+    whose seeds extend them without prices.
+    """
+    n = 12
+    rng = random.Random(5)
+    rows = np.array([[rng.choice([0.0, 0.25, 0.5, 1.0]) for _ in range(n)] for _ in range(2)])
+    knap = KnapsackConstraint(tuple(rng.choice([0.1, 0.3, 1 / 3, 0.7]) for _ in range(n)), 1.3)
+    free = KnapsackConstraint((0.0, 0.5, 0.0) + knap.weights[3:], 1.3)
+    runs = [
+        lambda orc: greedy_cardinality(orc, 4),
+        lambda orc: sample_greedy_cardinality(orc, 4, 0.3, seed=9),
+        lambda orc: greedy_matroid(orc, UniformMatroid(5, n), 0.1),
+        lambda orc: greedy_matroid(orc, PartitionMatroid([range(0, 5), range(5, n)], [2, 2]), 0.1),
+        lambda orc: mw_packing(orc, PackingConstraint(rows, np.array([1.5, 2.0])), 0.5),
+        lambda orc: mw_packing(orc, PackingConstraint(rows, np.array([40.0, 40.0])), 0.5),
+        lambda orc: mw_packing(orc, knap, 0.3),
+        lambda orc: knapsack_enum(orc, free, 0.3),
+    ]
+    h = hashlib.sha256()
+    for make in (graph, hypergraph):
+        for run in runs:
+            t = run(make(n))
+            h.update(json.dumps(t.to_dict(), sort_keys=True).encode())
+    return h.hexdigest()
+
+
+# computed with the table build, validation and brute force of commit c5ff554,
+# and the solver traces with the solvers of commit afed8d2
 GOLDEN = {
     "graph tables": "bfa19571dba85dc699e5f8d77ef1d8dc3a24f586d51c797f0c264f6470d18edc",
     "hypergraph tables": "f70f629a62f95aa644016bd0cb5b21920feecc02d62980661ec684cac19bd39b",
     "validation reports": "110176e3d8dadd71cdb4008959be074b9d8af653f06d5f2fd4120412f191c93d",
     "brute-force optima": "e3abf561791084be919bb8570bf8fdab2c4229439929c516c25cf8856e91bb4d",
+    "solver traces": "41e4d89bde4f90600276b42a5af4e09052c5af3cba7862ff5ce3512d917bc9e4",
 }
 
 DIGESTS = {
@@ -132,6 +173,7 @@ DIGESTS = {
     "hypergraph tables": lambda: table_digest(hypergraph),
     "validation reports": validation_digest,
     "brute-force optima": brute_force_digest,
+    "solver traces": solver_trace_digest,
 }
 
 

@@ -18,6 +18,7 @@ from symsubmax import (
 from symsubmax.oracle import (
     InvalidSetError,
     MalformedInstanceError,
+    OracleError,
     WeightedGraph,
     instance_to_dict,
     load_instance,
@@ -191,6 +192,9 @@ def test_validate_sampled_mode(k3):
         rep = validate(table_oracle(2, values), mode="sampled", trials=50, seed=5)
         assert not rep.valid
         assert kind in {v["kind"] for v in rep.violations}
+    for trials in (0, -5):  # no check would run, yet the report would read valid
+        with pytest.raises(OracleError):
+            validate(k3, mode="sampled", trials=trials)
 
 
 @pytest.mark.parametrize("name,orc", sorted(bundled_oracles().items()))
@@ -292,6 +296,13 @@ def test_parse_rejects_bad_instances():
         {"type": "hypergraph-cut", "n": 3, "edges": [{"members": [0, 1], "w": "2"}]},
         {"type": "table", "n": 1, "values": ["0", 1.0]},
         {"type": "table", "n": 1, "values": [0.0, True]},
+        # finite weights whose total is not
+        {"type": "graph-cut", "n": 3, "edges": [[0, 1, 1e308], [1, 2, 1e308], [0, 2, 1e308]]},
+        {
+            "type": "hypergraph-cut",
+            "n": 3,
+            "edges": [{"members": [0, 1], "w": 1e308}, {"members": [0, 1, 2], "w": 1e308}],
+        },
     ):
         with pytest.raises(MalformedInstanceError):
             parse_instance(bad)
