@@ -128,6 +128,17 @@ def delete(oracle, S, fS=None, protected=frozenset()):
 # -- Algorithms: greedy and sample greedy under cardinality ---------------------
 
 
+def _log_inverse(epsilon):
+    """ln(1/eps), the factor in the round counts of the sampling and matroid
+    solvers; eps must lie in (0, 1) and be large enough that 1/eps is finite."""
+    if not 0 < epsilon < 1:
+        raise ParameterError(f"need 0 < epsilon < 1, got {epsilon}")
+    log_inv = math.log(1.0 / epsilon)
+    if log_inv == math.inf:
+        raise ParameterError(f"ln(1/epsilon) is not finite for epsilon = {epsilon}")
+    return log_inv
+
+
 def greedy_cardinality(oracle, k):
     """k rounds of max-marginal selection over the full ground set, each
     followed by Delete. Query cost <= k(n + k + 2)."""
@@ -144,9 +155,7 @@ def sample_greedy_cardinality(oracle, k, epsilon, seed=0):
     n = oracle.n
     if not 1 <= k <= n:
         raise ParameterError(f"need 1 <= k <= n, got k={k}, n={n}")
-    if not 0 < epsilon < 1:
-        raise ParameterError(f"need 0 < epsilon < 1, got {epsilon}")
-    r = math.ceil((n / k) * math.log(1.0 / epsilon))
+    r = math.ceil((n / k) * _log_inverse(epsilon))
     rng = random.Random(seed)
 
     def draw(pool):
@@ -199,11 +208,10 @@ def greedy_matroid(oracle, matroid, epsilon):
     real elements only.
     """
     n = oracle.n
-    if not 0 < epsilon < 1:
-        raise ParameterError(f"need 0 < epsilon < 1, got {epsilon}")
+    log_inv = _log_inverse(epsilon)
     ext = ExtendedMatroid(matroid, n)
     k = ext.k
-    K = math.ceil((k / 3) * math.log(1.0 / epsilon))
+    K = math.ceil((k / 3) * log_inv)
     run = _Run(oracle)
     S = set(ext.dummies[:k])  # base of k dummies
     fS = oracle.eval(())  # f'(S_0) = f(empty)
@@ -234,7 +242,7 @@ def greedy_matroid(oracle, matroid, epsilon):
 # -- Algorithm: multiplicative weights under packing ----------------------------
 
 
-def mw_packing(oracle, packing, epsilon, *, lambda_override=None, start=frozenset(), allowed=None):
+def mw_packing(oracle, packing, epsilon, *, start=frozenset(), allowed=None):
     """Multiplicative-weights greedy for packing constraints.
 
     Selects elements by marginal value per current weighted load, Deletes
@@ -263,20 +271,15 @@ def mw_packing(oracle, packing, epsilon, *, lambda_override=None, start=frozense
     if not 0 < epsilon < 1:
         raise ParameterError(f"need 0 < epsilon < 1, got {epsilon}")
     W = packing.width()  # raises UndefinedWidthError on all-zero A
-    if lambda_override is not None:
-        lam = float(lambda_override)
-    else:
-        try:
-            lam = math.exp(epsilon * W)  # inf when W is, from a subnormal entry
-        except OverflowError:
-            lam = math.inf
-        if lam == math.inf:
-            raise ParameterError(
-                f"lambda = e^(epsilon * width) = e^{epsilon * W:.6g} is not a finite float;"
-                " give a smaller epsilon, or mw-packing a finite --lambda-override"
-            )
-    if not 1 < lam < math.inf:  # NaN fails it too
-        raise ParameterError(f"lambda must be finite and exceed 1, got {lam}")
+    try:
+        lam = math.exp(epsilon * W)  # inf when W is, from a subnormal entry
+    except OverflowError:
+        lam = math.inf
+    if not 1 < lam < math.inf:
+        raise ParameterError(
+            "lambda = e^(epsilon * width) is not a finite float above 1"
+            f" for epsilon = {epsilon:.6g} and width = {W:.6g}"
+        )
     universe = set(range(n)) if allowed is None else set(allowed)
     start = frozenset(start)
     run = _Run(oracle)
@@ -287,10 +290,11 @@ def mw_packing(oracle, packing, epsilon, *, lambda_override=None, start=frozense
     # denominator and beta
     Ab = np.column_stack((packing.A, packing.b))
     warnings = []
-    if W < max(math.log(packing.m), 1.0) / epsilon**2:
+    # eps^2 underflows to 0 below about 1.6e-162
+    width_floor = max(math.log(packing.m), 1.0) / epsilon**2 if epsilon**2 else math.inf
+    if W < width_floor:
         warnings.append(
-            f"width {W:.6g} below max(ln m, 1)/eps^2 = "
-            f"{max(math.log(packing.m), 1.0) / epsilon**2:.6g}; ratio guarantee void"
+            f"width {W:.6g} below max(ln m, 1)/eps^2 = {width_floor:.6g}; ratio guarantee void"
         )
     r = 0
     while not universe <= S:

@@ -2,8 +2,8 @@
 
 Reports are JSON with sorted keys so reruns of deterministic commands are
 byte-identical; wall-clock timing is therefore opt-in (--timing) for solve
-and exact. Exit codes: 0 ok, 1 input error, 2 infeasible solver output
-(signals a bug), 3 validation violations found.
+and exact. Exit codes: 0 ok, 1 input or usage error, 2 infeasible solver
+output (signals a bug), 3 validation violations found.
 """
 
 from __future__ import annotations
@@ -55,9 +55,7 @@ SOLVERS = {
     "mw-packing": Solver(
         (constraints.PackingConstraint, constraints.KnapsackConstraint),
         needs_epsilon=True,
-        run=lambda orc, cons, args: algorithms.mw_packing(
-            orc, cons, args.epsilon, lambda_override=args.lambda_override
-        ),
+        run=lambda orc, cons, args: algorithms.mw_packing(orc, cons, args.epsilon),
     ),
     "knapsack-enum": Solver(
         (constraints.KnapsackConstraint,),
@@ -114,8 +112,6 @@ def _solve(instance_path, constraint_path, args, with_exact):
         raise UsageError(f"{args.algorithm} requires a {kinds} constraint")
     if solver.needs_epsilon and args.epsilon is None:
         raise UsageError(f"{args.algorithm} requires --epsilon")
-    if args.lambda_override is not None and not math.isfinite(args.lambda_override):
-        raise UsageError(f"--lambda-override must be finite, got {args.lambda_override}")
     res = exact.brute_force_opt(orc, cons) if with_exact else None
     t0 = time.perf_counter()
     trace = solver.run(orc, cons, args)
@@ -139,8 +135,6 @@ def cmd_solve(args):
         "feasible": feasible,
     }
     report.update(run.trace.to_dict(include_rounds=args.trace))
-    if args.lambda_override is not None:
-        report["lambda_override"] = args.lambda_override
     if run.exact is not None:
         report["opt_value"] = run.exact.opt_value
         report["opt_witness"] = list(run.exact.witness)
@@ -207,7 +201,6 @@ MANIFEST_FIELDS = {
     "constraint": (lambda v: isinstance(v, str), "a path"),
     "algorithm": (lambda v: isinstance(v, str), "a solver name"),
     "epsilon": (_is_finite_number, "a finite number"),
-    "lambda_override": (_is_finite_number, "a finite number"),
     "seed": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
     "exact": (lambda v: isinstance(v, bool), "true or false"),
 }
@@ -216,6 +209,9 @@ MANIFEST_FIELDS = {
 def _bench_row(entry):
     if not isinstance(entry, dict) or not {"instance", "constraint", "algorithm"} <= entry.keys():
         raise UsageError(f"manifest entry needs instance, constraint and algorithm: {entry!r}")
+    unknown = sorted(entry.keys() - MANIFEST_FIELDS.keys())
+    if unknown:
+        raise UsageError(f"unknown manifest field(s) {', '.join(unknown)} in {entry!r}")
     for name, (ok, what) in MANIFEST_FIELDS.items():
         if name in entry and not ok(entry[name]):
             raise UsageError(f"manifest field {name} must be {what}, got {entry[name]!r}")
@@ -223,7 +219,6 @@ def _bench_row(entry):
         algorithm=entry["algorithm"],
         epsilon=entry.get("epsilon"),
         seed=entry.get("seed", 0),
-        lambda_override=entry.get("lambda_override"),
     )
     run = _solve(entry["instance"], entry["constraint"], ns, entry.get("exact", False))
     cons = run.constraint
@@ -269,8 +264,17 @@ def cmd_bench(args):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as UsageError (exit 1) rather than argparse's
+    usage block and exit 2, which here means infeasible solver output. The
+    subcommand parsers are of the same class."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def build_parser():
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="symsubmax",
         description="Solvers and exact baselines for symmetric submodular maximization.",
     )
@@ -285,7 +289,6 @@ def build_parser():
     sp.add_argument("--trace", action="store_true", help="include per-round trace")
     sp.add_argument("--exact", action="store_true", help="attach brute-force optimum")
     sp.add_argument("--timing", action="store_true", help="include wall-clock duration")
-    sp.add_argument("--lambda-override", type=float, dest="lambda_override")
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_solve)
 
@@ -322,8 +325,8 @@ _parser = functools.cache(build_parser)
 
 
 def main(argv=None):
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         return args.func(args)
     except (
         UsageError,

@@ -268,6 +268,11 @@ def test_mw_width_warning():
     p_wide = PackingConstraint(np.full((1, 4), 0.05), np.array([2.0]))
     t2 = mw_packing(g, p_wide, 0.3)
     assert not any("width" in w for w in t2.warnings)
+    # eps^2 underflows to 0 while eps * W is still a usable exponent
+    p_huge = PackingConstraint(np.full((1, 4), 1e-160), np.array([1.0]))
+    t3 = mw_packing(g, p_huge, 1e-170)
+    assert t3.params["lambda"] > 1
+    assert "below max(ln m, 1)/eps^2 = inf" in t3.warnings[0]
 
 
 def test_mw_free_column_selected_first():
@@ -285,20 +290,6 @@ def test_mw_query_bound():
     p = PackingConstraint(np.full((2, 10), 0.2), np.array([1.5, 2.0]))
     t = mw_packing(g, p, 0.4)
     assert t.total_queries <= 10 * (2 * 10 + 2)
-
-
-def test_mw_lambda_override_recorded():
-    g = graph_cut_oracle(random_graph(4, 1.0, (1.0, 1.0), seed=0))
-    p = PackingConstraint(np.full((1, 4), 0.5), np.array([1.0]))
-    t = mw_packing(g, p, 0.3, lambda_override=3.0)
-    assert t.params["lambda"] == 3.0
-
-
-def test_mw_lambda_override_nan_rejected():
-    g = graph_cut_oracle(random_graph(4, 1.0, (1.0, 1.0), seed=0))
-    p = PackingConstraint(np.full((1, 4), 0.5), np.array([1.0]))
-    with pytest.raises(ParameterError):
-        mw_packing(g, p, 0.3, lambda_override=float("nan"))
 
 
 # -- knapsack enum ------------------------------------------------------------

@@ -1,8 +1,12 @@
+import argparse
 import json
+import math
+import re
+from pathlib import Path
 
 import pytest
 
-from symsubmax.cli import main
+from symsubmax.cli import MANIFEST_FIELDS, build_parser, main
 from symsubmax.generators import random_graph
 
 
@@ -109,13 +113,11 @@ def test_solve_mw_packing_on_knapsack(k3_file, tmp_path):
     out = tmp_path / "mw.json"
     argv = ["solve", "--instance", k3_file, "--constraint", knap, "--algorithm", "mw-packing"]
     argv += ["--epsilon", "0.5", "--out", str(out)]
-    for override in ([], ["--lambda-override", "3"]):
-        assert main(argv + override) == 0
-        rep = json.loads(out.read_text())
-        assert rep["final_value"] == 2.0
-        assert rep["feasible"] is True
-        assert ("lambda_override" in rep) == bool(override)
-    assert rep["lambda_override"] == rep["params"]["lambda"] == 3.0
+    assert main(argv) == 0
+    rep = json.loads(out.read_text())
+    assert rep["final_value"] == 2.0
+    assert rep["feasible"] is True
+    assert rep["params"]["lambda"] == math.exp(0.5 * 2.0)
 
 
 N9_EDGES = [
@@ -259,8 +261,8 @@ def test_bench_bad_manifest(tmp_path, capsys, k3_file, card2_file):
         assert main(["bench", "--manifest", str(bad)]) == 1
         assert capsys.readouterr().err.startswith("error: bad manifest:")
     run = {"instance": k3_file, "constraint": card2_file, "algorithm": "sample-greedy-card"}
-    # entries that are not objects, that lack a required field, or whose
-    # fields have the wrong type
+    # entries that are not objects, that lack a required field, whose
+    # fields have the wrong type, or that have a field no entry takes
     for entry in (
         5,
         None,
@@ -273,6 +275,7 @@ def test_bench_bad_manifest(tmp_path, capsys, k3_file, card2_file):
         {**run, "epsilon": 0.1, "instance": [k3_file]},
         {**run, "epsilon": 0.1, "algorithm": ["greedy-card"]},
         {**run, "algorithm": "no-such-solver"},
+        {**run, "epsilon": 0.1, "sead": 5},
     ):
         manifest = write_json(tmp_path / "manifest.json", [entry])
         assert main(["bench", "--manifest", manifest]) == 1
@@ -286,6 +289,7 @@ NO_WEIGHT = {"type": "graph-cut", "n": 2, "edges": [[0, 1]]}
 CARD1 = {"type": "cardinality", "k": 1}
 K3 = {"type": "graph-cut", "n": 3, "edges": [[0, 1, 1.0], [1, 2, 1.0], [0, 2, 1.0]]}
 KNAP3 = {"type": "knapsack", "weights": [1, 1, 1], "budget": 2}
+UNIFORM1 = {"type": "uniform-matroid", "k": 1}
 KNAP3_WIDE = {"type": "knapsack", "weights": [1, 1, 1], "budget": 1e4}  # width 1e4
 MW = "solve --algorithm mw-packing --epsilon 0.5"
 # every cut is at most the total weight, which overflows here
@@ -309,7 +313,7 @@ K3_HUGE = {"type": "graph-cut", "n": 3, "edges": [[0, 1, 1e308], [1, 2, 1e308], 
         ("exact", C4, {"type": "knapsack", "weights": [1, 1], "budget": 1}),
         ("exact", C4, {"type": "partition-matroid", "parts": [[0], [1]], "limits": [1, 1]}),
         ("exact", C4, {"type": "packing", "A": [[1.0, 1.0]], "b": [1.0]}),
-        # a non-finite lambda would write NaN or Infinity into the JSON report
+        # lambda is always e^(eps W): there is no option to set it
         (f"{MW} --lambda-override nan", K3, KNAP3),
         (f"{MW} --lambda-override inf", K3, KNAP3),
         ("solve --algorithm sample-greedy-card", K3, CARD1),  # needs --epsilon
@@ -322,6 +326,14 @@ K3_HUGE = {"type": "graph-cut", "n": 3, "edges": [[0, 1, 1e308], [1, 2, 1e308], 
         ("solve --algorithm knapsack-enum", K3, KNAP3_WIDE),
         ("verify --trials 0", K3, None),
         ("verify --trials -5", K3, None),
+        # usage errors: a missing required option, an option value of the wrong type
+        ("solve", K3, None),
+        ("solve --algorithm sample-greedy-card --epsilon abc", K3, CARD1),
+        # 1/eps overflows to inf, so ln(1/eps) and the round count are not finite
+        ("solve --algorithm sample-greedy-card --epsilon 5e-324", K3, CARD1),
+        ("solve --algorithm greedy-matroid --epsilon 5e-324", K3, UNIFORM1),
+        # eps W rounds to 0, so lambda = e^(eps W) is 1
+        ("solve --algorithm mw-packing --epsilon 5e-324", K3, KNAP3),
     ],
 )
 def test_bad_input_exits_1(tmp_path, capsys, command, instance, constraint):
@@ -359,7 +371,7 @@ def test_one_parser_serves_every_call(monkeypatch, capsys, k3_file, card2_file):
              "--algorithm", "greedy-card", "--trace"]
     calls = [
         solve,
-        ["solve", "--instance", k3_file, "--algorithm", "greedy-card"],  # exit 2
+        ["solve", "--instance", k3_file, "--algorithm", "greedy-card"],  # exit 1
         ["verify", "--instance", k3_file, "--exhaustive"],
         solve,
     ]
@@ -378,4 +390,30 @@ def test_one_parser_serves_every_call(monkeypatch, capsys, k3_file, card2_file):
     assert cli._parser() is cli._parser()
     monkeypatch.setattr(cli, "_parser", cli.build_parser)
     assert reused == run_all()
-    assert [r[0] for r in reused] == [0, 2, 0, 0]
+    assert [r[0] for r in reused] == [0, 1, 0, 0]
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--help"])
+    assert exc.value.code == 0
+    assert "--epsilon" in capsys.readouterr().out
+
+
+def test_readme_names_the_parser_options_and_manifest_fields():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    cli_section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    (subcommands,) = [
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    options = {
+        option
+        for sub in subcommands.choices.values()
+        for action in sub._actions
+        for option in action.option_strings
+    } - {"-h", "--help"}
+    assert set(re.findall(r"--[a-z][a-z-]*", cli_section)) == options
+
+    manifest = cli_section.split("Bench manifests", 1)[1].split("\n\n", 1)[0]
+    named = set(re.findall(r'"(\w+)":', manifest)) | set(re.findall(r"`(\w+)`", manifest))
+    assert named == MANIFEST_FIELDS.keys()
