@@ -6,11 +6,13 @@ the value is dropped. That sweep is what substitutes for monotonicity: the
 surviving set S satisfies f(R) <= f(S) for every R subset of S, hence
 f(S u T) >= f(T) - f(S) for every T.
 
-Determinism policy: argmax ties (values within 1e-9, so that analytically
-equal marginals that accumulated rounding still count as tied) break to the
-lowest element id, Delete visits
-elements in ascending id, and the sampled variant is driven by a seeded PRNG,
-so identical inputs produce identical traces.
+Determinism policy: each argmax scan visits its candidates in ascending id
+and keeps the one it holds unless a later candidate is larger by more than
+1e-9 (EQ_TOL), so that analytically equal marginals that accumulated rounding
+still go to the lower id. The rule is a running one, not a band around the
+maximum: the values 0, 0.8e-9 and 1.6e-9 select the third candidate. Delete
+visits elements in ascending id, and the sampled variant is driven by a
+seeded PRNG, so identical inputs produce identical traces.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constraints import ExtendedMatroid, KnapsackConstraint
+from .constraints import ExtendedMatroid, KnapsackConstraint, check_ground_set
 from .oracle import EQ_TOL
 
 
@@ -208,6 +210,7 @@ def greedy_matroid(oracle, matroid, epsilon):
     real elements only.
     """
     n = oracle.n
+    check_ground_set(matroid, n)
     log_inv = _log_inverse(epsilon)
     ext = ExtendedMatroid(matroid, n)
     k = ext.k
@@ -261,13 +264,12 @@ def mw_packing(oracle, packing, epsilon, *, start=frozenset(), allowed=None):
     The run begins at `start`, never deletes it, and only considers
     candidates in `allowed` (every element when None).
     """
+    n = oracle.n
+    check_ground_set(packing, n)
     constraint = packing
     if isinstance(packing, KnapsackConstraint):
         residual = packing.budget - packing.load(start)
         packing, allowed = packing.to_packing(residual, allowed)
-    n = oracle.n
-    if packing.n != n:
-        raise ParameterError("packing matrix columns must match the ground set")
     if not 0 < epsilon < 1:
         raise ParameterError(f"need 0 < epsilon < 1, got {epsilon}")
     W = packing.width()  # raises UndefinedWidthError on all-zero A
@@ -362,8 +364,7 @@ def knapsack_enum(oracle, knapsack, epsilon=0.1):
     the best set found. Query budget O(n^4).
     """
     n = oracle.n
-    if len(knapsack.weights) != n:
-        raise ParameterError("knapsack weights must match the ground set")
+    check_ground_set(knapsack, n)
     weights = knapsack.weights
     budget = knapsack.budget
     run = _Run(oracle)

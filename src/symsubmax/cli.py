@@ -72,13 +72,18 @@ def _hash_file(path):
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def _write_report(report, out):
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+def _write_text(text, out):
+    """Write text to the file `out`, or to stdout when there is none. The file
+    keeps the text's own line ends, such as the CSV rows' CRLF, on every OS."""
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
+        with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _write_report(report, out):
+    _write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", out)
 
 
 def _load(instance_path, constraint_path):
@@ -187,7 +192,8 @@ def cmd_tight_example(args):
         "c": te.c,
         "greedy_value": te.greedy_value,
     }
-    generators.write_instance_with_sidecar(te.graph, args.out, sidecar)
+    oracle_mod.save_instance(oracle_mod.graph_cut_oracle(te.graph), args.out)
+    _write_report(sidecar, f"{args.out}.opt.json")
     return 0
 
 
@@ -247,8 +253,7 @@ def cmd_bench(args):
         if not isinstance(manifest, list):
             raise ValueError("manifest must be a list of run entries")
     except (OSError, ValueError) as exc:
-        print(f"error: bad manifest: {exc}", file=sys.stderr)
-        return 1
+        raise UsageError(f"bad manifest: {exc}") from exc
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(
@@ -256,11 +261,7 @@ def cmd_bench(args):
     )
     for entry in manifest:
         writer.writerow(_bench_row(entry))
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(buf.getvalue())
-    else:
-        sys.stdout.write(buf.getvalue())
+    _write_text(buf.getvalue(), args.out)
     return 0
 
 
@@ -337,6 +338,7 @@ def main(argv=None):
         exact.InstanceTooLargeError,
         OSError,
         json.JSONDecodeError,
+        UnicodeDecodeError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

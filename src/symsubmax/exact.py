@@ -110,10 +110,11 @@ def brute_force_opt(oracle, constraint):
     count = int(feasible.sum())
     if not count:
         raise ValueError("constraint admits no feasible set (not even the empty set)")
-    fvals = np.where(feasible, oracle.value_table(), -np.inf)
-    del feasible  # the tie table below is the third 2^n array, not the fourth
-    opt = float(fvals.max())
-    witness = _lex_min_set(fvals == opt)
+    # no float copy of the table: `feasible` becomes the mask of optimal sets
+    table = oracle.value_table()
+    opt = float(table.max(where=feasible, initial=-np.inf))
+    feasible &= table == opt
+    witness = _lex_min_set(feasible)
     return ExactResult(opt_value=opt, witness=witness, sets_enumerated=count)
 
 

@@ -8,24 +8,17 @@ marginal gain and wins on the lowest-id rule. The derived constant c is
 computed in exact rational arithmetic so the ceiling never suffers float
 rounding.
 
-PRNG: python stdlib Mersenne Twister (random.Random), seeded; the generator
-name and seed are recorded in instance sidecars so corpora are reproducible.
+PRNG: python stdlib Mersenne Twister (random.Random), seeded.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 import random
 
-from .oracle import (
-    WeightedGraph,
-    WeightedHypergraph,
-    graph_cut_oracle,
-    save_instance,
-)
+from .oracle import WeightedGraph, WeightedHypergraph, graph_cut_oracle
 
 
 class GeneratorError(ValueError):
@@ -131,12 +124,3 @@ def random_hypergraph(n, num_edges, max_arity, weight_range=(0.0, 1.0), seed=0):
         members = frozenset(rng.sample(range(n), arity))
         hyperedges.append((members, rng.uniform(lo, hi)))
     return WeightedHypergraph(n, tuple(hyperedges))
-
-
-def write_instance_with_sidecar(graph, path, sidecar):
-    """Write a graph instance file plus a `<path>.opt.json` sidecar describing
-    the certified optimum: {"optimal_value", "witness", "certified_by"}."""
-    save_instance(graph_cut_oracle(graph), path)
-    with open(f"{path}.opt.json", "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")

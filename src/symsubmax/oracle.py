@@ -408,6 +408,9 @@ def validate(oracle, mode="exhaustive", trials=1000, seed=0):
     return _validate_sampled(oracle, trials, seed)
 
 
+# Past the float limit a difference below reads inf or NaN: either one flags
+# the set, and the re-test's half-scale sums stay finite.
+@np.errstate(over="ignore", invalid="ignore")
 def _validate_exhaustive(oracle):
     n = oracle.n
     vals = oracle.value_table()
@@ -461,9 +464,12 @@ def _validate_exhaustive(oracle):
             # q[:, a, :, b] holds f(S + a*v + b*u) for every S avoiding u and v
             q = _bit_axes(vals, (u, v))
             flagged = ~calm.reshape(q[:, 0, :, 0].shape)
-            lhs = q[:, 0, :, 1][flagged] + q[:, 1, :, 0][flagged]
-            rhs = q[:, 1, :, 1][flagged] + q[:, 0, :, 0][flagged]
-            bad = np.flatnonzero(lhs < rhs - EQ_TOL)[:5]
+            # at half scale, which is exact above the subnormal range, so the
+            # verdicts and deficits are those of the full-scale sums wherever
+            # these are finite, and the half-scale sums never overflow
+            lhs = q[:, 0, :, 1][flagged] * 0.5 + q[:, 1, :, 0][flagged] * 0.5
+            rhs = q[:, 1, :, 1][flagged] * 0.5 + q[:, 0, :, 0][flagged] * 0.5
+            bad = np.flatnonzero(lhs < rhs - EQ_TOL * 0.5)[:5]
             where = np.flatnonzero(flagged)[bad]
             for i, j in zip(where, bad):
                 _record(
@@ -472,7 +478,7 @@ def _validate_exhaustive(oracle):
                     S=_set_of(_insert_zero_bits(int(i), u, v)),
                     u=u,
                     v=v,
-                    deficit=float(rhs[j] - lhs[j]),
+                    deficit=2 * (float(rhs[j]) - float(lhs[j])),
                 )
     return report
 

@@ -23,6 +23,7 @@ from symsubmax import (
     tight_example,
 )
 from symsubmax.algorithms import ParameterError
+from symsubmax.constraints import MalformedConstraintError
 from symsubmax.oracle import InvalidSetError
 
 from conftest import bundled_oracles
@@ -200,6 +201,27 @@ def test_matroid_final_set_independent_and_query_bound():
 def test_matroid_invalid_eps(k3):
     with pytest.raises(ParameterError):
         greedy_matroid(k3, UniformMatroid(1, 3), 1.0)
+
+
+# -- constraints over another ground set ---------------------------------------
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda orc: greedy_matroid(orc, UniformMatroid(3, 12), 0.2),
+        lambda orc: greedy_matroid(orc, PartitionMatroid([range(6), range(6, 12)], [2, 1]), 0.2),
+        lambda orc: mw_packing(orc, PackingConstraint(np.full((1, 12), 0.5), [2.0]), 0.2),
+        lambda orc: mw_packing(orc, KnapsackConstraint((0.5,) * 12, 2.0), 0.2),
+        lambda orc: knapsack_enum(orc, KnapsackConstraint((0.5,) * 12, 2.0), 0.2),
+    ],
+    ids=["uniform-matroid", "partition-matroid", "packing", "mw-knapsack", "knapsack-enum"],
+)
+def test_solvers_reject_a_constraint_over_another_ground_set(run):
+    orc = graph_cut_oracle(random_graph(10, 0.5, (0.0, 1.0), seed=3))
+    with pytest.raises(MalformedConstraintError, match="covers 12 elements, instance has n=10"):
+        run(orc)
+    assert orc.query_count == 0
 
 
 # -- mw packing ---------------------------------------------------------------

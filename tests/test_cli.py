@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import math
 import re
@@ -6,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from symsubmax.cli import MANIFEST_FIELDS, build_parser, main
+from symsubmax.cli import MANIFEST_FIELDS, UsageError, build_parser, cmd_bench, main
 from symsubmax.generators import random_graph
+from symsubmax.oracle import graph_cut_oracle, save_instance
 
 
 def write_json(path, obj):
@@ -260,6 +262,10 @@ def test_bench_bad_manifest(tmp_path, capsys, k3_file, card2_file):
         bad.write_text(text)
         assert main(["bench", "--manifest", str(bad)]) == 1
         assert capsys.readouterr().err.startswith("error: bad manifest:")
+        # main prints the error line; the command only raises
+        with pytest.raises(UsageError, match="^bad manifest:"):
+            cmd_bench(argparse.Namespace(manifest=str(bad), out=None))
+        assert capsys.readouterr() == ("", "")
     run = {"instance": k3_file, "constraint": card2_file, "algorithm": "sample-greedy-card"}
     # entries that are not objects, that lack a required field, whose
     # fields have the wrong type, or that have a field no entry takes
@@ -349,6 +355,21 @@ def test_bad_input_exits_1(tmp_path, capsys, command, instance, constraint):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "command, bad", [("solve", "instance"), ("verify", "instance"), ("solve", "constraint")]
+)
+def test_non_utf8_file_exits_1(tmp_path, capsys, k3_file, card2_file, command, bad):
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes('{"type": "cardinality", "k": 2, "note": "\u00e9"}'.encode("latin-1"))
+    files = {"instance": k3_file, "constraint": card2_file, bad: str(latin1)}
+    argv = [command, "--instance", files["instance"]]
+    if command == "solve":
+        argv += ["--constraint", files["constraint"], "--algorithm", "greedy-card"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_solve_missing_instance(card2_file):
     code = main(
         [
@@ -417,3 +438,59 @@ def test_readme_names_the_parser_options_and_manifest_fields():
     manifest = cli_section.split("Bench manifests", 1)[1].split("\n\n", 1)[0]
     named = set(re.findall(r'"(\w+)":', manifest)) | set(re.findall(r"`(\w+)`", manifest))
     assert named == MANIFEST_FIELDS.keys()
+
+
+# SHA-256 of the files below, computed with the writers of commit 3deaea5
+OUTPUT_DIGESTS = {
+    "tight-example": "ce3e88a1c18ea65f5a1652cde2c54ed8992d5fc742d391fe2941e6b39052a283",
+    "bench": "322ca101140b81da8ca3ab4c3a613ca51c618028ed82dc0f12680a3bab4bfaad",
+}
+
+
+def sha256_of(*blobs):
+    h = hashlib.sha256()
+    for blob in blobs:
+        h.update(blob)
+    return h.hexdigest()
+
+
+def test_tight_example_files_are_pinned(tmp_path):
+    out = tmp_path / "tight5.json"
+    assert main(["tight-example", "--k", "5", "--out", str(out)]) == 0
+    files = out.read_bytes(), Path(f"{out}.opt.json").read_bytes()
+    assert sha256_of(*files) == OUTPUT_DIGESTS["tight-example"]
+
+
+def test_bench_csv_is_pinned(tmp_path, monkeypatch):
+    """Every column but millis, with the CSV's \\r\\n row ends, on relative
+    paths so that the instance column does not depend on tmp_path."""
+    monkeypatch.chdir(tmp_path)
+    save_instance(graph_cut_oracle(random_graph(8, 0.5, (0.0, 2.0), seed=3)), "g8.json")
+    write_json(tmp_path / "empty.json", {"type": "graph-cut", "n": 8, "edges": []})
+    write_json(tmp_path / "card2.json", {"type": "cardinality", "k": 2})
+    write_json(
+        tmp_path / "parts.json",
+        {"type": "partition-matroid", "parts": [[0, 1, 2, 3], [4, 5, 6, 7]], "limits": [1, 2]},
+    )
+    write_json(
+        tmp_path / "knap.json",
+        {"type": "knapsack", "weights": [0.3, 0.15, 0.2, 0.3, 0.15, 0.2, 0.35, 0.7], "budget": 0.8},
+    )
+    runs = [
+        {"instance": "g8.json", "constraint": "card2.json", "algorithm": "greedy-card", "exact": True},
+        {"instance": "g8.json", "constraint": "card2.json", "algorithm": "sample-greedy-card",
+         "epsilon": 0.3, "seed": 4},
+        {"instance": "g8.json", "constraint": "parts.json", "algorithm": "greedy-matroid",
+         "epsilon": 0.2, "exact": True},
+        {"instance": "g8.json", "constraint": "knap.json", "algorithm": "mw-packing",
+         "epsilon": 0.3, "exact": True},
+        {"instance": "g8.json", "constraint": "knap.json", "algorithm": "knapsack-enum"},
+        {"instance": "empty.json", "constraint": "card2.json", "algorithm": "greedy-card",
+         "exact": True},
+    ]
+    write_json(tmp_path / "runs.json", runs)
+    assert main(["bench", "--manifest", "runs.json", "--out", "bench.csv"]) == 0
+    data = (tmp_path / "bench.csv").read_bytes()
+    assert data.count(b"\r\n") == len(runs) + 1 and b"vacuous" in data
+    without_millis = re.sub(rb",[0-9.]+\r\n", b",\r\n", data)
+    assert sha256_of(without_millis) == OUTPUT_DIGESTS["bench"]

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -178,6 +179,20 @@ def test_validate_submodularity_violation():
     rep = validate(table_oracle(2, [0, 1, 1, 5]))
     assert not rep.valid
     assert any(v["kind"] == "submodularity" for v in rep.violations)
+
+
+def test_exhaustive_validation_near_the_float_limit():
+    """The re-test adds two values of up to the largest float; at half scale
+    the sums stay finite and numpy warns of no overflow."""
+    big = 5.9e307  # each cut of K3 is 1.18e308; two of them overflow a float
+    k3_big = graph_cut_oracle(WeightedGraph(3, ((0, 1, big), (1, 2, big), (0, 2, big))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert validate(k3_big).valid
+        # f(S+u) + f(S+v) = 0 < f(S+u+v) + f(S) = 3.4e308, past the largest float
+        rep = validate(table_oracle(2, [1.7e308, 0, 0, 1.7e308]))
+    assert not rep.valid
+    assert [v["kind"] for v in rep.violations] == ["submodularity"]
 
 
 def test_validate_sampled_mode(k3):

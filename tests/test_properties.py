@@ -635,4 +635,4 @@ def test_exhaustive_validate_peak_memory(kind):
 )
 def test_brute_force_peak_memory(constraint):
     orc = mem_oracle("graph")
-    assert traced_peak(lambda: brute_force_opt(orc, constraint)) <= 2.5 * TABLE_BYTES
+    assert traced_peak(lambda: brute_force_opt(orc, constraint)) <= 1.5 * TABLE_BYTES
