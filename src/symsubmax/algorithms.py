@@ -6,13 +6,18 @@ the value is dropped. That sweep is what substitutes for monotonicity: the
 surviving set S satisfies f(R) <= f(S) for every R subset of S, hence
 f(S u T) >= f(T) - f(S) for every T.
 
-Determinism policy: each argmax scan visits its candidates in ascending id
-and keeps the one it holds unless a later candidate is larger by more than
-1e-9 (EQ_TOL), so that analytically equal marginals that accumulated rounding
-still go to the lower id. The rule is a running one, not a band around the
-maximum: the values 0, 0.8e-9 and 1.6e-9 select the third candidate. Delete
-visits elements in ascending id, and the sampled variant is driven by a
-seeded PRNG, so identical inputs produce identical traces.
+Determinism policy: the three argmax scans (the cardinality selection, the
+matroid swap and the packing density) visit their candidates in ascending id
+and pick with `_argmax`, the one place the tie rule lives: keep the value
+held unless a later one is larger by more than 1e-9 (EQ_TOL), so that
+analytically equal marginals that accumulated rounding still go to the lower
+id. The rule is a running one, not a band around the maximum: the values 0,
+0.8e-9 and 1.6e-9 select the third candidate. Three choices use another
+rule: knapsack_enum keeps the best seeded run by strict >, _free_extend adds
+the first element with a positive marginal, and max_weight_base orders by
+exact descending weight, real before dummy, then ascending id. Delete visits
+elements in ascending id, and the sampled variant is driven by a seeded PRNG,
+so identical inputs produce identical traces.
 """
 
 from __future__ import annotations
@@ -127,14 +132,32 @@ def delete(oracle, S, fS=None, protected=frozenset()):
     return S, fS
 
 
+# -- Shared rules: the tie-break and the epsilon range --------------------------
+
+
+def _argmax(values):
+    """The index the running tie rule keeps: the first value, replaced by
+    each later one that is larger than the value held by more than EQ_TOL."""
+    best = 0
+    for i in range(1, len(values)):
+        if values[i] > values[best] + EQ_TOL:
+            best = i
+    return best
+
+
+def _check_epsilon(epsilon):
+    """Raise ParameterError unless epsilon lies in (0, 1); NaN does not."""
+    if not 0 < epsilon < 1:
+        raise ParameterError(f"need 0 < epsilon < 1, got {epsilon}")
+
+
 # -- Algorithms: greedy and sample greedy under cardinality ---------------------
 
 
 def _log_inverse(epsilon):
     """ln(1/eps), the factor in the round counts of the sampling and matroid
     solvers; eps must lie in (0, 1) and be large enough that 1/eps is finite."""
-    if not 0 < epsilon < 1:
-        raise ParameterError(f"need 0 < epsilon < 1, got {epsilon}")
+    _check_epsilon(epsilon)
     log_inv = math.log(1.0 / epsilon)
     if log_inv == math.inf:
         raise ParameterError(f"ln(1/epsilon) is not finite for epsilon = {epsilon}")
@@ -183,12 +206,9 @@ def _cardinality_rounds(oracle, k, algorithm, params, draw=None):
         if draw is not None:
             cands = draw(cands)
             extras = {"sample": list(cands)}
-        best_u, best_gain = None, None
-        for u in cands:
-            gain = oracle.marginal(u, S, fS)
-            # ties within EQ_TOL keep the earlier (lowest) id
-            if best_gain is None or gain > best_gain + EQ_TOL:
-                best_u, best_gain = u, gain
+        gains = [oracle.marginal(u, S, fS) for u in cands]
+        b = _argmax(gains)
+        best_u, best_gain = cands[b], gains[b]
         before = S | {best_u}
         S, fS = delete(oracle, before, fS + best_gain)
         run.round(i, best_u, before, S, fS, extras)
@@ -224,17 +244,12 @@ def greedy_matroid(oracle, matroid, epsilon):
         weight = dict(zip(outside, oracle.marginals(outside, real_S, fS)))
         M = ext.max_weight_base(weight, excluded=S)
         g = ext.exchange_bijection(M, S)
-        best_u, best_set, best_val = None, None, None
-        for u in sorted(M):
-            cand = (S - {g[u]}) | {u}
-            cand_real = ext.real_part(cand)
-            if cand_real == real_S:
-                val = fS  # pure dummy shuffle, value unchanged, no query
-            else:
-                val = oracle.eval(cand_real)
-            if best_val is None or val > best_val + EQ_TOL:
-                best_u, best_set, best_val = u, cand, val
-        before = best_set
+        swaps = sorted(M)
+        cands = [(S - {g[u]}) | {u} for u in swaps]
+        # a pure dummy shuffle keeps the value fS and costs no query
+        vals = [fS if r == real_S else oracle.eval(r) for r in map(ext.real_part, cands)]
+        b = _argmax(vals)
+        best_u, before, best_val = swaps[b], cands[b], vals[b]
         real_after, fS = delete(oracle, ext.real_part(before), best_val)
         S = ext.pad_to_base(real_after | {d for d in before if ext.is_dummy(d)})
         run.round(i, best_u, before, S, fS, {"swapped_out": g[best_u], "base": sorted(M)})
@@ -270,8 +285,7 @@ def mw_packing(oracle, packing, epsilon, *, start=frozenset(), allowed=None):
     if isinstance(packing, KnapsackConstraint):
         residual = packing.budget - packing.load(start)
         packing, allowed = packing.to_packing(residual, allowed)
-    if not 0 < epsilon < 1:
-        raise ParameterError(f"need 0 < epsilon < 1, got {epsilon}")
+    _check_epsilon(epsilon)
     W = packing.width()  # raises UndefinedWidthError on all-zero A
     try:
         lam = math.exp(epsilon * W)  # inf when W is, from a subnormal entry
@@ -305,25 +319,23 @@ def mw_packing(oracle, packing, epsilon, *, start=frozenset(), allowed=None):
         if not beta <= lam:
             break
         r += 1
-        best_j, best_density, best_gain, best_denom = None, None, None, None
         scan = sorted(universe - S)
         # marginals checks every id before any indexes denoms
-        for j, gain in zip(scan, oracle.marginals(scan, S, fS)):
-            denom = denoms[j]
-            if denom == 0.0:
-                density = math.inf if gain > 0 else -math.inf
-            else:
-                density = gain / denom
-            if best_density is None or density > best_density + EQ_TOL:
-                best_j, best_density, best_gain, best_denom = j, density, gain, denom
-        if best_gain is None or best_gain <= 0:
+        gains = oracle.marginals(scan, S, fS)
+        # a zero load gives +inf or -inf by the sign of the gain
+        densities = [
+            gain / denoms[j] if denoms[j] != 0.0 else (math.inf if gain > 0 else -math.inf)
+            for j, gain in zip(scan, gains)
+        ]
+        b = _argmax(densities)
+        j, gain = scan[b], gains[b]
+        if gain <= 0:
             run.round(r, None, S, S, fS, {"break": "no positive marginal", "beta": beta})
             break
-        j = best_j
         before = set(S) | {j}
-        S, fS = delete(oracle, before, fS + best_gain, protected=start)
+        S, fS = delete(oracle, before, fS + gain, protected=start)
         w = w * lam ** (packing.A[:, j] / packing.b)
-        extras = {"beta": beta, "denominator": best_denom, "gain": best_gain}
+        extras = {"beta": beta, "denominator": denoms[j], "gain": gain}
         run.round(r, j, before, S, fS, extras)
     if not constraint.is_feasible(S):
         for rd in reversed(run.rounds):
@@ -365,6 +377,7 @@ def knapsack_enum(oracle, knapsack, epsilon=0.1):
     """
     n = oracle.n
     check_ground_set(knapsack, n)
+    _check_epsilon(epsilon)
     weights = knapsack.weights
     budget = knapsack.budget
     run = _Run(oracle)

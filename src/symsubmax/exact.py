@@ -112,7 +112,8 @@ def brute_force_opt(oracle, constraint):
         raise ValueError("constraint admits no feasible set (not even the empty set)")
     # no float copy of the table: `feasible` becomes the mask of optimal sets
     table = oracle.value_table()
-    opt = float(table.max(where=feasible, initial=-np.inf))
+    # + 0.0: a zero optimum is +0.0 whichever zero the reduction kept
+    opt = float(table.max(where=feasible, initial=-np.inf)) + 0.0
     feasible &= table == opt
     witness = _lex_min_set(feasible)
     return ExactResult(opt_value=opt, witness=witness, sets_enumerated=count)

@@ -186,10 +186,9 @@ class Oracle:
             ]
         elif kind == "table":
             values = payload
-            if len(values) != 1 << n:
-                raise MalformedInstanceError(
-                    f"table has {len(values)} entries, expected {1 << n}"
-                )
+            # compare bit lengths first: 1 << n for a huge n would not fit
+            if len(values).bit_length() - 1 != n or len(values) != 1 << n:
+                raise MalformedInstanceError(f"table has {len(values)} entries, expected 2^{n}")
             self._table = np.asarray(values, dtype=np.float64)
             if not np.isfinite(self._table).all():
                 raise MalformedInstanceError("table values must be finite")
@@ -396,13 +395,16 @@ def validate(oracle, mode="exhaustive", trials=1000, seed=0):
     diminishing-returns triples plus symmetry/non-negativity on the sampled
     sets. Values within EQ_TOL count as equal.
 
-    Violations are report content, never exceptions.
+    Violations are report content, never exceptions; a mode other than
+    "exhaustive" or "sampled" raises OracleError.
     """
     n = oracle.n
     if mode == "exhaustive":
         if n > 20:
             raise InvalidSetError(f"exhaustive validation capped at n=20, got n={n}")
         return _validate_exhaustive(oracle)
+    if mode != "sampled":
+        raise OracleError(f"unknown validation mode {mode!r}")
     if trials < 1:
         raise OracleError(f"sampled validation needs trials >= 1, got {trials}")
     return _validate_sampled(oracle, trials, seed)

@@ -20,11 +20,12 @@ from symsubmax import (
     mw_packing,
     random_graph,
     sample_greedy_cardinality,
+    table_oracle,
     tight_example,
 )
 from symsubmax.algorithms import ParameterError
 from symsubmax.constraints import MalformedConstraintError
-from symsubmax.oracle import InvalidSetError
+from symsubmax.oracle import EQ_TOL, InvalidSetError
 
 from conftest import bundled_oracles
 
@@ -415,3 +416,64 @@ def test_mw_rejects_allowed_ids_outside_the_ground_set():
     for bad in (5, -1, 1.0):
         with pytest.raises(InvalidSetError):
             mw_packing(g, p, 0.3, allowed=[0, bad])
+
+
+# -- the tie rule and the epsilon range ------------------------------------------
+
+
+def _singletons(values):
+    """A table oracle with f(empty) = 0 and f({u}) = values[u], 0 elsewhere,
+    so every first-round scan over singletons sees `values` in id order."""
+    n = len(values)
+    table = [0.0] * (1 << n)
+    for u, v in enumerate(values):
+        table[1 << u] = v
+    return table_oracle(n, table)
+
+
+def _first_pick(solver, values):
+    orc = _singletons(values)
+    n = len(values)
+    if solver == "greedy-card":
+        t = greedy_cardinality(orc, 1)
+    elif solver == "sample-greedy-card":
+        t = sample_greedy_cardinality(orc, 1, 0.1, seed=0)
+        assert t.params["r"] >= n  # the sample is the whole pool
+    elif solver == "greedy-matroid":
+        # the max-weight base holds every real element (real before dummy at
+        # equal weight), so the swaps are scanned with values f({u})
+        t = greedy_matroid(orc, UniformMatroid(n, n), 0.1)
+        assert t.rounds[0].extras["base"] == list(range(n))
+    else:
+        # every load is 1, so the densities are the marginals
+        t = mw_packing(orc, PackingConstraint(np.ones((1, n)), np.array([1.0])), 0.5)
+    return t.rounds[0].selected
+
+
+SOLVERS_WITH_A_SCAN = ["greedy-card", "sample-greedy-card", "greedy-matroid", "mw-packing"]
+
+
+@pytest.mark.parametrize("solver", SOLVERS_WITH_A_SCAN)
+def test_running_tie_rule_is_not_a_band_around_the_maximum(solver):
+    # each value beats the one held by 0.8e-9 < EQ_TOL, but the third beats
+    # the first by more: the running rule takes the third, a band the second
+    values = [0.0, 0.8e-9, 1.6e-9]
+    assert values[2] > values[0] + EQ_TOL
+    assert _first_pick(solver, values) == 2
+
+
+@pytest.mark.parametrize("solver", SOLVERS_WITH_A_SCAN)
+def test_tie_rule_keeps_the_lower_id_within_eq_tol(solver):
+    # a strict max would take the second; within EQ_TOL the first stays, and
+    # mw-packing, whose held marginal is then 0, stops on the round instead
+    picked = _first_pick(solver, [0.0, 0.5e-9])
+    assert picked == (None if solver == "mw-packing" else 0)
+
+
+@pytest.mark.parametrize("epsilon", [math.nan, 0.0, 1.0, 7.0])
+def test_knapsack_enum_rejects_epsilon_outside_the_open_unit_interval(k3, epsilon):
+    # zero weights never reach mw_packing, so only the entry check can see epsilon
+    k3.reset_queries()
+    with pytest.raises(ParameterError, match="need 0 < epsilon < 1"):
+        knapsack_enum(k3, KnapsackConstraint((0.0, 0.0, 0.0), 1.0), epsilon)
+    assert k3.query_count == 0

@@ -297,6 +297,8 @@ K3 = {"type": "graph-cut", "n": 3, "edges": [[0, 1, 1.0], [1, 2, 1.0], [0, 2, 1.
 KNAP3 = {"type": "knapsack", "weights": [1, 1, 1], "budget": 2}
 UNIFORM1 = {"type": "uniform-matroid", "k": 1}
 KNAP3_WIDE = {"type": "knapsack", "weights": [1, 1, 1], "budget": 1e4}  # width 1e4
+KNAP3_FREE = {"type": "knapsack", "weights": [0, 0, 0], "budget": 1}
+TABLE_HUGE_N = {"type": "table", "n": 1e300, "values": [0.0]}
 MW = "solve --algorithm mw-packing --epsilon 0.5"
 # every cut is at most the total weight, which overflows here
 K3_HUGE = {"type": "graph-cut", "n": 3, "edges": [[0, 1, 1e308], [1, 2, 1e308], [0, 2, 1e308]]}
@@ -340,6 +342,12 @@ K3_HUGE = {"type": "graph-cut", "n": 3, "edges": [[0, 1, 1e308], [1, 2, 1e308], 
         ("solve --algorithm greedy-matroid --epsilon 5e-324", K3, UNIFORM1),
         # eps W rounds to 0, so lambda = e^(eps W) is 1
         ("solve --algorithm mw-packing --epsilon 5e-324", K3, KNAP3),
+        # knapsack-enum checks eps itself: zero weights never reach mw-packing
+        ("solve --algorithm knapsack-enum --epsilon nan", K3, KNAP3_FREE),
+        # a table of 2^n entries for an n too large to shift by
+        ("verify", TABLE_HUGE_N, None),
+        ("solve", TABLE_HUGE_N, CARD1),
+        ("exact", TABLE_HUGE_N, CARD1),
     ],
 )
 def test_bad_input_exits_1(tmp_path, capsys, command, instance, constraint):

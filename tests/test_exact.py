@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from symsubmax import (
     greedy_cardinality,
     random_graph,
     ratio,
+    table_oracle,
 )
 from symsubmax.constraints import MalformedConstraintError
 from symsubmax.exact import VACUOUS, InstanceTooLargeError, feasible_mask_array
@@ -35,6 +38,13 @@ def test_empty_graph_opt_zero():
     res = brute_force_opt(orc, CardinalityConstraint(2))
     assert res.opt_value == 0.0
     assert res.witness == ()
+
+
+def test_zero_optimum_is_positive_zero():
+    # the table lists both zeros; the witness () is worth +0.0
+    res = brute_force_opt(table_oracle(2, [0.0, -0.0, -0.0, 0.0]), CardinalityConstraint(1))
+    assert res.witness == ()
+    assert math.copysign(1.0, res.opt_value) == 1.0
 
 
 def test_too_large_rejected():

@@ -210,6 +210,9 @@ def test_validate_sampled_mode(k3):
     for trials in (0, -5):  # no check would run, yet the report would read valid
         with pytest.raises(OracleError):
             validate(k3, mode="sampled", trials=trials)
+    # a misspelt mode is an error, not a sampled run
+    with pytest.raises(OracleError, match="unknown validation mode"):
+        validate(k3, mode="exhastive")
 
 
 @pytest.mark.parametrize("name,orc", sorted(bundled_oracles().items()))
@@ -311,6 +314,8 @@ def test_parse_rejects_bad_instances():
         {"type": "hypergraph-cut", "n": 3, "edges": [{"members": [0, 1], "w": "2"}]},
         {"type": "table", "n": 1, "values": ["0", 1.0]},
         {"type": "table", "n": 1, "values": [0.0, True]},
+        # 2^n entries for an n too large to shift by
+        {"type": "table", "n": 1e300, "values": [0.0]},
         # finite weights whose total is not
         {"type": "graph-cut", "n": 3, "edges": [[0, 1, 1e308], [1, 2, 1e308], [0, 2, 1e308]]},
         {
