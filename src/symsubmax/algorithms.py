@@ -301,10 +301,9 @@ def mw_packing(oracle, packing, epsilon, *, start=frozenset(), allowed=None):
     run = _Run(oracle)
     S = set(start)
     fS = oracle.eval(S)
-    w = 1.0 / packing.b
-    # b as a last column of A: one pass over its rows gives every
-    # denominator and beta
-    Ab = np.column_stack((packing.A, packing.b))
+    b = packing.b
+    cols = list(zip(*packing.A))  # cols[j][i] = A_ij
+    w = [1.0 / bi for bi in b]
     warnings = []
     # eps^2 underflows to 0 below about 1.6e-162
     width_floor = max(math.log(packing.m), 1.0) / epsilon**2 if epsilon**2 else math.inf
@@ -314,28 +313,33 @@ def mw_packing(oracle, packing, epsilon, *, start=frozenset(), allowed=None):
         )
     r = 0
     while not universe <= S:
-        denoms = _weighted_row_sum(Ab, w)
-        beta = denoms[n]
+        beta = _ascending_dot(b, w)
         if not beta <= lam:
             break
         r += 1
         scan = sorted(universe - S)
-        # marginals checks every id before any indexes denoms
+        # marginals checks every id before any indexes cols
         gains = oracle.marginals(scan, S, fS)
+        denoms = [_ascending_dot(cols[j], w) for j in scan]
         # a zero load gives +inf or -inf by the sign of the gain
         densities = [
-            gain / denoms[j] if denoms[j] != 0.0 else (math.inf if gain > 0 else -math.inf)
-            for j, gain in zip(scan, gains)
+            gain / d if d != 0.0 else (math.inf if gain > 0 else -math.inf)
+            for d, gain in zip(denoms, gains)
         ]
-        b = _argmax(densities)
-        j, gain = scan[b], gains[b]
+        pick = _argmax(densities)
+        j, gain = scan[pick], gains[pick]
         if gain <= 0:
             run.round(r, None, S, S, fS, {"break": "no positive marginal", "beta": beta})
             break
         before = set(S) | {j}
         S, fS = delete(oracle, before, fS + gain, protected=start)
-        w = w * lam ** (packing.A[:, j] / packing.b)
-        extras = {"beta": beta, "denominator": denoms[j], "gain": gain}
+        # numpy's power, not ** or math.pow: numpy's power loop and the C
+        # library's pow round some (lambda, x) apart in the last bit, and the
+        # traces are pinned to numpy's. numpy picks its loop by CPU, so these
+        # bits can differ between machines.
+        growth = np.power(lam, [a / bi for a, bi in zip(cols[j], b)]).tolist()
+        w = [wi * g for wi, g in zip(w, growth)]
+        extras = {"beta": beta, "denominator": denoms[pick], "gain": gain}
         run.round(r, j, before, S, fS, extras)
     if not constraint.is_feasible(S):
         for rd in reversed(run.rounds):
@@ -349,18 +353,13 @@ def mw_packing(oracle, packing, epsilon, *, start=frozenset(), allowed=None):
     return run.trace("mw-packing", params, S, fS, warnings)
 
 
-def _weighted_row_sum(M, w):
-    """sum_i w[i] * M[i, j] for every column j, as a list of floats.
-
-    The rows are added in ascending order, one rounded product and one
-    rounded sum at a time, so a column's value depends neither on the other
-    columns nor on the routine numpy's dot would dispatch to; with one row it
-    is the dot product bit for bit.
-    """
-    d = M[0] * w[0]
+def _ascending_dot(xs, w):
+    """sum_i xs[i] * w[i], one rounded product and one rounded sum at a time
+    in ascending i: with one row, numpy's dot product bit for bit."""
+    total = xs[0] * w[0]
     for i in range(1, len(w)):
-        d += M[i] * w[i]
-    return d.tolist()
+        total += xs[i] * w[i]
+    return total
 
 
 # -- Algorithm: knapsack via partial enumeration ---------------------------------

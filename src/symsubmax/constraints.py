@@ -10,10 +10,10 @@ exchange graph. None of the operations here consume f-queries.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
+from numbers import Real
 from operator import index
-
-import numpy as np
 
 from .oracle import as_float, as_int
 
@@ -52,6 +52,33 @@ def _ids(S, n=None):
     return S
 
 
+def _row_sum(row, ids):
+    """The entries of `row` at `ids`, added one at a time in the order given.
+
+    Both per-set loads pass ids in ascending order, the order that
+    exact.feasible_mask_array's tables add in, so they agree on a load that
+    rounds across a budget. Neither builtin sum (compensated from Python
+    3.12) nor numpy's pairwise sum keeps it.
+    """
+    load = 0.0
+    for j in ids:
+        load += row[j]
+    return load
+
+
+def _floats(xs):
+    """xs as a tuple of floats. An entry that is not a real number (a bool, a
+    string, a sequence) raises MalformedConstraintError; a scalar xs, TypeError."""
+    out = []
+    for x in xs:
+        if type(x) is not float:
+            if not isinstance(x, Real) or isinstance(x, bool):
+                raise MalformedConstraintError(f"entry {x!r} is not a number")
+            x = float(x)
+        out.append(x)
+    return tuple(out)
+
+
 # -- simple families ----------------------------------------------------------
 
 
@@ -73,9 +100,9 @@ class KnapsackConstraint:
     budget: float
 
     def __post_init__(self):
-        if not 0 < self.budget < np.inf:
+        if not 0 < self.budget < math.inf:
             raise MalformedConstraintError("budget must be positive and finite")
-        if not all(0 <= w < np.inf for w in self.weights):
+        if not all(0 <= w < math.inf for w in self.weights):
             raise MalformedConstraintError("weights must be non-negative and finite")
 
     @property
@@ -85,10 +112,7 @@ class KnapsackConstraint:
     def load(self, S):
         """The weight of S, added one at a time in ascending id, as in
         PackingConstraint.load; every per-set knapsack sum is this one."""
-        load = 0.0
-        for j in sorted(_ids(S, self.n)):
-            load += self.weights[j]
-        return load
+        return _row_sum(self.weights, sorted(_ids(S, self.n)))
 
     def is_feasible(self, S):
         return self.load(S) <= self.budget
@@ -110,54 +134,55 @@ class KnapsackConstraint:
             raise UndefinedWidthError("no allowed knapsack element has a positive weight")
         row = [0.0] * self.n
         for j in allowed:
-            row[j] = self.weights[j]
-        return PackingConstraint(np.array([row]) / maxw, np.array([budget / maxw])), allowed
+            row[j] = self.weights[j] / maxw
+        return PackingConstraint([row], [budget / maxw]), allowed
 
 
 class PackingConstraint:
+    """A x <= b for an m x n matrix A with entries in [0, 1] and m finite
+    b_i >= 1, given as nested sequences of real numbers (numpy arrays too) and
+    stored as tuples of floats: A as a tuple of m rows."""
+
     def __init__(self, A, b):
-        A = np.asarray(A, dtype=np.float64)
-        b = np.asarray(b, dtype=np.float64)
-        if A.ndim != 2 or b.ndim != 1 or A.shape[0] != b.shape[0]:
+        try:
+            A = tuple(_floats(row) for row in A)
+            b = _floats(b)
+        except TypeError:
+            raise MalformedConstraintError("A must be m x n with b of length m") from None
+        if not A or len({len(row) for row in A}) != 1 or len(b) != len(A):
             raise MalformedConstraintError("A must be m x n with b of length m")
-        # min and max are NaN when an entry is, and NaN fails the comparisons
-        if A.size and not (A.min() >= 0 and A.max() <= 1):
+        # NaN fails both comparisons
+        if not all(0 <= a <= 1 for row in A for a in row):
             raise MalformedConstraintError("A entries must lie in [0, 1]")
-        if b.size and not (b.min() >= 1 and b.max() < np.inf):
+        if not all(1 <= x < math.inf for x in b):
             raise MalformedConstraintError("b entries must be finite and >= 1")
         self.A = A
         self.b = b
-        self.m, self.n = A.shape
+        self.m, self.n = len(A), len(A[0])
 
     def load(self, S):
-        """A x_S, each row's weights added one at a time in ascending id.
-
-        Every per-set load check and exact.feasible_mask_array's tables add
-        in this order, so they agree on a load that rounds across a budget.
-        Neither builtin sum (compensated from Python 3.12) nor numpy's
-        pairwise sum keeps it.
-        """
-        load = np.zeros(self.m)
-        for j in sorted(_ids(S, self.n)):
-            load += self.A[:, j]
-        return load
+        """A x_S as a tuple, each row's weights added one at a time in
+        ascending id, as in KnapsackConstraint.load."""
+        ids = sorted(_ids(S, self.n))
+        return tuple(_row_sum(row, ids) for row in self.A)
 
     def is_feasible(self, S):
-        return bool(np.all(self.load(S) <= self.b))
+        return all(load <= bi for load, bi in zip(self.load(S), self.b))
 
     def width(self):
         """W = min over positive entries of b_i / A_ij.
 
         Computed as the minimum over rows with a positive entry of
         b_i / max_j A_ij: rounded division by a positive number is monotone,
-        so this is the same float.
+        so this is the same float. A subnormal entry gives inf, which
+        mw_packing rejects.
         """
-        top = self.A.max(axis=1, initial=0.0)
-        pos = top > 0
-        if not pos.any():
+        ratios = [
+            bi / top for row, bi in zip(self.A, self.b) if (top := max(row, default=0.0)) > 0
+        ]
+        if not ratios:
             raise UndefinedWidthError("packing matrix has no positive entry")
-        with np.errstate(over="ignore"):  # inf past a subnormal entry; mw_packing rejects it
-            return float((self.b[pos] / top[pos]).min())
+        return min(ratios)
 
 
 # -- matroids ------------------------------------------------------------------
@@ -345,12 +370,11 @@ def parse_constraint(obj, n=None):
             parts = [[as_int(u) for u in p] for p in obj["parts"]]
             return PartitionMatroid(parts, [as_int(l) for l in obj["limits"]])
         if kind == "packing":
-            A = [[as_float(a) for a in row] for row in obj["A"]]
-            return PackingConstraint(A, [as_float(b) for b in obj["b"]])
+            return PackingConstraint(obj["A"], obj["b"])
         if kind == "knapsack":
             weights = tuple(as_float(w) for w in obj["weights"])
             return KnapsackConstraint(weights, as_float(obj["budget"]))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise MalformedConstraintError(
             f"bad constraint object: {type(exc).__name__}: {exc}"
         ) from exc
@@ -379,7 +403,7 @@ def constraint_to_dict(c):
             "limits": list(c.limits),
         }
     if isinstance(c, PackingConstraint):
-        return {"type": "packing", "A": c.A.tolist(), "b": c.b.tolist()}
+        return {"type": "packing", "A": [list(row) for row in c.A], "b": list(c.b)}
     if isinstance(c, KnapsackConstraint):
         return {"type": "knapsack", "weights": list(c.weights), "budget": c.budget}
     raise MalformedConstraintError(f"cannot serialize {type(c).__name__}")

@@ -71,8 +71,8 @@ def feasible_mask_array(constraint, n):
         return _load_table(constraint.weights) <= constraint.budget
     if isinstance(constraint, PackingConstraint):
         ok = np.ones(1 << n, dtype=bool)
-        for i in range(constraint.m):
-            ok &= _load_table(constraint.A[i]) <= constraint.b[i]
+        for row, bi in zip(constraint.A, constraint.b):
+            ok &= _load_table(row) <= bi
         return ok
     raise TypeError(f"no feasibility table for {type(constraint).__name__}")
 

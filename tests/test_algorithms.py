@@ -271,14 +271,15 @@ def test_mw_trace_extras_replay(m):
     p = PackingConstraint(rng.uniform(0.1, 1.0, (m, 10)), np.full(m, 5.0))
     t = mw_packing(g, p, 0.3)
     lam = t.params["lambda"]
-    w = 1.0 / p.b
+    A, b = np.array(p.A), np.array(p.b)
+    w = 1.0 / b
     picked = 0
     for r in t.rounds:
-        assert r.extras["beta"] == _ascending_rows(p.b, w)
+        assert r.extras["beta"] == _ascending_rows(b, w)
         if r.selected is None:
             continue
-        assert r.extras["denominator"] == _ascending_rows(p.A[:, r.selected], w)
-        w = w * lam ** (p.A[:, r.selected] / p.b)
+        assert r.extras["denominator"] == _ascending_rows(A[:, r.selected], w)
+        w = w * lam ** (A[:, r.selected] / b)
         picked += 1
     assert picked >= 5 and t.rounds[-1].selected is None
 

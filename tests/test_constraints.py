@@ -56,6 +56,8 @@ def test_width_examples():
     assert w == 1.0
     with pytest.raises(UndefinedWidthError):
         PackingConstraint(np.array([[0.0, 0.0]]), np.array([1.0])).width()
+    with pytest.raises(UndefinedWidthError):
+        PackingConstraint([[]], [1.0]).width()  # an empty row
 
 
 @pytest.mark.parametrize(
@@ -204,6 +206,20 @@ def test_malformed_constraints_raise():
         PackingConstraint(np.array([[1.5]]), np.array([1.0]))  # entry > 1
     with pytest.raises(MalformedConstraintError):
         PackingConstraint(np.array([[0.5]]), np.array([0.5]))  # b < 1
+    # shapes and entries are checked at the library boundary too, not only
+    # by the parser
+    for A, b in (
+        ([[0.5], [0.5, 0.5]], [1.0, 1.0]),  # ragged rows
+        ([[0.5, "x"]], [1.0]),  # non-numeric entry
+        ([0.5, 0.5], [1.0]),  # 1-D A
+        ([[0.5, 0.5]], [[1.0]]),  # 2-D b
+        (np.array([0.5, 0.5]), np.array([1.0])),
+        (np.array([[0.5, 0.5]]), np.array([[1.0]])),
+        ([[0.5, 0.5]], [1.0, 1.0]),  # b longer than A
+        ([], []),  # no rows
+    ):
+        with pytest.raises(MalformedConstraintError):
+            PackingConstraint(A, b)
     with pytest.raises(MalformedConstraintError):
         KnapsackConstraint((1.0,), 0.0)
     for bad in (
@@ -235,6 +251,9 @@ def test_malformed_constraints_raise():
         {"type": "packing", "A": [[0.5, "0.5"]], "b": [1.0]},
         {"type": "packing", "A": [[0.5, 0.5]], "b": ["2"]},
         {"type": "packing", "A": [[0.5, 0.5]], "b": [True]},
+        # an integer too large for a float
+        {"type": "knapsack", "weights": [1.0, 10**400], "budget": 3.0},
+        {"type": "packing", "A": [[0.5, 0.5]], "b": [10**400]},
     ):
         with pytest.raises(MalformedConstraintError):
             parse_constraint(bad, n=2)

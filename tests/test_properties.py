@@ -445,12 +445,13 @@ def test_one_row_denominators_equal_the_dot_product(n, row, b, seed):
     p = PackingConstraint(np.array([row[:n]]), np.array([b]))
     t = mw_packing(orc, p, 0.3)
     lam = t.params["lambda"]
-    w = 1.0 / p.b
+    A, b = np.array(p.A), np.array(p.b)
+    w = 1.0 / b
     for r in t.rounds:
-        assert r.extras["beta"] == float(p.b @ w)
+        assert r.extras["beta"] == float(b @ w)
         if r.selected is not None:
-            assert r.extras["denominator"] == float(p.A[:, r.selected] @ w)
-            w = w * lam ** (p.A[:, r.selected] / p.b)
+            assert r.extras["denominator"] == float(A[:, r.selected] @ w)
+            w = w * lam ** (A[:, r.selected] / b)
 
 
 @settings(max_examples=300)
