@@ -348,6 +348,12 @@ K3_HUGE = {"type": "graph-cut", "n": 3, "edges": [[0, 1, 1e308], [1, 2, 1e308], 
         ("verify", TABLE_HUGE_N, None),
         ("solve", TABLE_HUGE_N, CARD1),
         ("exact", TABLE_HUGE_N, CARD1),
+        # a JSON integer too large for a float, as a weight or a table value
+        ("verify", {"type": "graph-cut", "n": 2, "edges": [[0, 1, 10**400]]}, None),
+        ("solve", {"type": "graph-cut", "n": 2, "edges": [[0, 1, 10**400]]}, CARD1),
+        ("exact", {"type": "graph-cut", "n": 2, "edges": [[0, 1, 10**400]]}, CARD1),
+        ("verify", {"type": "hypergraph-cut", "n": 2, "edges": [{"members": [0, 1], "w": 10**400}]}, None),
+        ("verify", {"type": "table", "n": 1, "values": [0, 10**400]}, None),
     ],
 )
 def test_bad_input_exits_1(tmp_path, capsys, command, instance, constraint):
