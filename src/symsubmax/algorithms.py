@@ -13,8 +13,8 @@ held unless a later one is larger by more than 1e-9 (EQ_TOL), so that
 analytically equal marginals that accumulated rounding still go to the lower
 id. The rule is a running one, not a band around the maximum: the values 0,
 0.8e-9 and 1.6e-9 select the third candidate. Three choices use another
-rule: knapsack_enum keeps the best seeded run by strict >, _free_extend adds
-the first element with a positive marginal, and max_weight_base orders by
+rule: knapsack_enum keeps the best seeded run by strict >, _free_extend_steps
+adds the first element with a positive marginal, and max_weight_base orders by
 exact descending weight, real before dummy, then ascending id. Delete visits
 elements in ascending id, and the sampled variant is driven by a seeded PRNG,
 so identical inputs produce identical traces.
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constraints import ExtendedMatroid, KnapsackConstraint, check_ground_set
+from .constraints import ExtendedMatroid, KnapsackConstraint, UndefinedWidthError, check_ground_set
 from .oracle import EQ_TOL, _mask_of, added_masks
 
 
@@ -84,10 +84,10 @@ class RunTrace:
 class _Run:
     """A solver run's rounds, and its queries counted from the run's start.
 
-    Given an oracle, the count is read off the oracle's counter. A step
-    generator (below), which never sees the oracle, passes none and adds
-    the masks it yields to `asked` itself. Without `keep_rounds`, `round`
-    records nothing: knapsack_enum's seeded runs show no rounds.
+    Given an oracle, the count is read off the oracle's counter; without
+    one it is `asked`, which knapsack_enum keeps as the running sum of its
+    seeds' queries in seed order. Without `keep_rounds`, `round` records
+    nothing: knapsack_enum's seeded runs show no rounds.
     """
 
     def __init__(self, oracle=None, keep_rounds=True):
@@ -125,71 +125,40 @@ class _Run:
 # Delete, one multiplicative-weights run and one knapsack seed are written as
 # step generators: each step yields the list of bitmasks whose values it
 # needs and is sent back their values, one oracle query per mask, and the
-# generator's return value is the result. `_drive` runs one generator against
-# an oracle; `_lockstep` runs many together, so that one step of all of them
-# is one batched `Oracle.eval_masks` call.
+# generator's return value is the result. `_lockstep` runs them together, so
+# that one step of all of them is one batched `Oracle.eval_masks` call.
 
-# At most this many knapsack seeds run in lockstep at once; finished runs
-# are replaced from the seed list, so the runs' state stays O(window * n) at
-# large n. On the benchmark's knapsacks (170-280 seeds at n = 17-23, 2-core
-# Xeon, best of 15) windows of 16, 32, 64, 128 and 512 took 16.7, 14.8,
-# 14.6, 13.5 and 12.7 ms on knap-gB and 49, 39, 39, 36 and 35 ms on knap-hD.
-LOCKSTEP_WINDOW = 256
+
+def _lockstep(oracle, runs):
+    """Run a list of step generators together; return [(result, queries)] in
+    run order, `queries` being the number of masks the run yielded.
+
+    Every run starts at once. Each step sends every unfinished run the
+    values of the masks it yielded and answers the masks they all yield
+    next, in run order, with one eval_masks call.
+    """
+    out = [[None, 0] for _ in runs]
+    active = [(entry, steps, None) for entry, steps in zip(out, runs)]  # None: not started
+    values = []
+    while active:
+        batch, still = [], []
+        for entry, steps, span in active:
+            try:
+                masks = steps.send(values[span] if span else None)
+            except StopIteration as stop:
+                entry[0] = stop.value
+            else:
+                entry[1] += len(masks)
+                still.append((entry, steps, slice(len(batch), len(batch) + len(masks))))
+                batch += masks
+        if batch:
+            values = oracle.eval_masks(batch)
+        active = still
+    return [tuple(entry) for entry in out]
 
 
 def _drive(oracle, steps):
-    """Run one step generator to its end and return its result."""
-    try:
-        masks = next(steps)
-        while True:
-            masks = steps.send(oracle.eval_masks(masks))
-    except StopIteration as stop:
-        return stop.value
-
-
-def _lockstep(oracle, runs, window=LOCKSTEP_WINDOW):
-    """Run step generators together, at most `window` at once; yield
-    (result, queries) for each, in the order of `runs`.
-
-    Each step takes the masks every active run yields, in run order, and
-    answers them with one eval_masks call; a finished run is replaced by the
-    next one from `runs`. `queries` is the number of masks the run yielded.
-    """
-    runs = iter(runs)
-    active = []  # [position, generator, masks now asked, masks asked so far]
-    done = {}
-    started = emitted = 0
-    while True:
-        while len(active) < window:
-            steps = next(runs, None)
-            if steps is None:
-                break
-            try:
-                masks = next(steps)
-            except StopIteration as stop:
-                done[started] = (stop.value, 0)
-            else:
-                active.append([started, steps, masks, len(masks)])
-            started += 1
-        while emitted in done:
-            yield done.pop(emitted)
-            emitted += 1
-        if not active:
-            return
-        values = oracle.eval_masks([m for run in active for m in run[2]])
-        still = []
-        at = 0
-        for run in active:
-            pos, steps, masks, asked = run
-            try:
-                run[2] = steps.send(values[at : at + len(masks)])
-            except StopIteration as stop:
-                done[pos] = (stop.value, asked)
-            else:
-                run[3] += len(run[2])
-                still.append(run)
-            at += len(masks)
-        active = still
+    return _lockstep(oracle, [steps])[0][0]
 
 
 # -- Delete --------------------------------------------------------------------
@@ -352,7 +321,7 @@ def greedy_matroid(oracle, matroid, epsilon):
 # -- Algorithm: multiplicative weights under packing ----------------------------
 
 
-def mw_packing(oracle, packing, epsilon, *, start=frozenset(), allowed=None):
+def mw_packing(oracle, packing, epsilon):
     """Multiplicative-weights greedy for packing constraints.
 
     Selects elements by marginal value per current weighted load, Deletes
@@ -363,26 +332,43 @@ def mw_packing(oracle, packing, epsilon, *, start=frozenset(), allowed=None):
     the constraint accepts it. Query cost <= n(2n + 2).
 
     `packing` is a PackingConstraint or a KnapsackConstraint. A knapsack is
-    run in its rescaled packing form (KnapsackConstraint.to_packing, over
-    `allowed` when given, against the budget left after `start`), but the
-    final set is judged and repaired by the knapsack's own is_feasible,
-    whose load can round across the budget where the rescaled one does not.
-
-    The run begins at `start`, never deletes it, and only considers
-    candidates in `allowed` (every element when None).
+    run as one rescaled row (see _mw_steps), but the final set is judged and
+    repaired by the knapsack's own is_feasible, whose load can round across
+    the budget where the rescaled one does not.
     """
     check_ground_set(packing, oracle.n)
-    return _drive(oracle, _mw_steps(oracle.n, packing, epsilon, start, allowed))
-
-
-def _mw_steps(n, packing, epsilon, start, allowed, keep_rounds=True):
-    """mw_packing as a step generator; the ground set must match n."""
-    constraint = packing
-    if isinstance(packing, KnapsackConstraint):
-        residual = packing.budget - packing.load(start)
-        packing, allowed = packing.to_packing(residual, allowed)
     _check_epsilon(epsilon)
-    W = packing.width()  # raises UndefinedWidthError on all-zero A
+    run = _Run(oracle)
+    S, fS, params, warnings = _drive(oracle, _mw_steps(oracle.n, packing, epsilon, run))
+    return run.trace("mw-packing", params, S, fS, warnings)
+
+
+def _mw_steps(n, constraint, epsilon, run, start=frozenset(), allowed=None, residual=None):
+    """mw_packing's run as a step generator over the ground set 0..n-1,
+    recording its rounds in `run`; returns (S, f(S), params, warnings).
+
+    The run begins at `start`, never deletes it, and only considers
+    candidates in `allowed` (every element when None). A knapsack is one
+    row: each weight in `allowed` (by default, those that fit the budget)
+    over the largest of them, against `residual` (the budget) over the same.
+    That row's largest entry is exactly 1.0, so the width is its bound.
+    """
+    if isinstance(constraint, KnapsackConstraint):
+        weights = constraint.weights
+        if residual is None:
+            residual = constraint.budget
+            allowed = [j for j in range(n) if weights[j] <= residual]
+        maxw = max((weights[j] for j in allowed), default=0.0)
+        if maxw == 0:
+            raise UndefinedWidthError("no allowed knapsack element has a positive weight")
+        row = [0.0] * n
+        for j in allowed:
+            row[j] = weights[j] / maxw
+        A, b = [row], [residual / maxw]
+        W = b[0]
+    else:
+        A, b = constraint.A, constraint.b
+        W = constraint.width()  # raises UndefinedWidthError on all-zero A
     try:
         lam = math.exp(epsilon * W)  # inf when W is, from a subnormal entry
     except OverflowError:
@@ -393,17 +379,13 @@ def _mw_steps(n, packing, epsilon, start, allowed, keep_rounds=True):
             f" for epsilon = {epsilon:.6g} and width = {W:.6g}"
         )
     universe = set(range(n)) if allowed is None else set(allowed)
-    start = frozenset(start)
-    run = _Run(keep_rounds=keep_rounds)
     added = []  # the selected elements, in order
     S = set(start)
     (fS,) = yield [_mask_of(S, n)]
-    run.asked += 1
-    A, b = packing.A, packing.b
     w = [1.0 / bi for bi in b]
     warnings = []
     # eps^2 underflows to 0 below about 1.6e-162
-    width_floor = max(math.log(packing.m), 1.0) / epsilon**2 if epsilon**2 else math.inf
+    width_floor = max(math.log(len(A)), 1.0) / epsilon**2 if epsilon**2 else math.inf
     if W < width_floor:
         warnings.append(
             f"width {W:.6g} below max(ln m, 1)/eps^2 = {width_floor:.6g}; ratio guarantee void"
@@ -415,9 +397,7 @@ def _mw_steps(n, packing, epsilon, start, allowed, keep_rounds=True):
             break
         r += 1
         scan = sorted(universe - S)
-        # added_masks checks every id before any indexes A
         values = yield added_masks(scan, S, n)
-        run.asked += len(scan)
         gains = [value - fS for value in values]
         # sum_i A_ij w_i for each j, one rounded product and one rounded sum
         # at a time in ascending i, as _ascending_dot adds
@@ -437,7 +417,6 @@ def _mw_steps(n, packing, epsilon, start, allowed, keep_rounds=True):
         added.append(j)
         before = set(S) | {j}
         S, fS = yield from _delete_steps(n, before, fS + gain, start)
-        run.asked += len(before) - len(start)  # one query per visited element
         # numpy's power, not ** or math.pow: numpy's power loop and the C
         # library's pow round some (lambda, x) apart in the last bit, and the
         # traces are pinned to numpy's. numpy picks its loop by CPU, so these
@@ -454,9 +433,8 @@ def _mw_steps(n, packing, epsilon, start, allowed, keep_rounds=True):
                 if constraint.is_feasible(S):
                     break
         (fS,) = yield [_mask_of(S, n)]
-        run.asked += 1
-    params = {"n": n, "m": packing.m, "epsilon": epsilon, "lambda": lam, "width": W}
-    return run.trace("mw-packing", params, S, fS, warnings)
+    params = {"n": n, "m": len(A), "epsilon": epsilon, "lambda": lam, "width": W}
+    return S, fS, params, warnings
 
 
 def _ascending_dot(xs, w):
@@ -476,9 +454,9 @@ def knapsack_enum(oracle, knapsack, epsilon=0.1):
 
     Evaluates every feasible set of size <= 2 directly; for each such seed T
     it additionally greedily extends T over the elements no heavier than any
-    seed member (and fitting the residual budget) with mw_packing started at
-    T, which never deletes T and returns a set the knapsack accepts. Returns
-    the best set found. Query budget O(n^4).
+    seed member (and fitting the residual budget) with mw_packing's run
+    started at T, which never deletes T and returns a set the knapsack
+    accepts. Returns the best set found. Query budget O(n^4).
 
     The seeds' runs are step generators driven in lockstep (`_lockstep`),
     and their results are taken in seed order, so the trace and the query
@@ -501,7 +479,7 @@ def knapsack_enum(oracle, knapsack, epsilon=0.1):
         for j in singles[ii + 1 :]
         if knapsack.is_feasible((i, j))
     ]
-    runs = _lockstep(oracle, (_seed_steps(n, knapsack, epsilon, T, best_val) for T in seeds))
+    runs = _lockstep(oracle, [_seed_steps(n, knapsack, epsilon, T, best_val) for T in seeds])
     for idx, (T, ((seed_val, cand_set, cand_val), queries)) in enumerate(zip(seeds, runs)):
         run.asked += queries
         if seed_val > best_val:
@@ -528,8 +506,9 @@ def _seed_steps(n, knapsack, epsilon, T, f_empty):
         # every allowed element has zero weight: extend freely
         cand_set, cand_val = yield from _free_extend_steps(n, T, seed_val, allowed)
         return seed_val, cand_set, cand_val
-    trace = yield from _mw_steps(n, knapsack, epsilon, T, allowed, keep_rounds=False)
-    return seed_val, frozenset(trace.final_set), trace.final_value
+    run = _Run(keep_rounds=False)
+    S, fS, _, _ = yield from _mw_steps(n, knapsack, epsilon, run, T, allowed, residual)
+    return seed_val, frozenset(S), fS
 
 
 def _free_extend_steps(n, T, fT, allowed):

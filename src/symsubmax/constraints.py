@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from numbers import Real
 from operator import index
 
-from .oracle import as_float, as_int
+from .oracle import as_int
 
 
 class ConstraintError(Exception):
@@ -68,15 +68,30 @@ def _row_sum(row, ids):
 
 def _floats(xs):
     """xs as a tuple of floats. An entry that is not a real number (a bool, a
-    string, a sequence) raises MalformedConstraintError; a scalar xs, TypeError."""
+    string, a sequence) or that no float holds raises
+    MalformedConstraintError; a scalar xs, TypeError."""
     out = []
     for x in xs:
         if type(x) is not float:
             if not isinstance(x, Real) or isinstance(x, bool):
                 raise MalformedConstraintError(f"entry {x!r} is not a number")
-            x = float(x)
+            try:
+                x = float(x)
+            except OverflowError:
+                raise MalformedConstraintError(f"entry {x!r} is too large for a float") from None
         out.append(x)
     return tuple(out)
+
+
+def _whole(k):
+    """k as an int: numpy integers pass; a bool, a float (even 2.0) or a
+    string raises MalformedConstraintError."""
+    if not isinstance(k, bool):
+        try:
+            return index(k)
+        except TypeError:
+            pass
+    raise MalformedConstraintError(f"k must be an integer, got {k!r}")
 
 
 # -- simple families ----------------------------------------------------------
@@ -87,6 +102,7 @@ class CardinalityConstraint:
     k: int
 
     def __post_init__(self):
+        object.__setattr__(self, "k", _whole(self.k))
         if self.k < 1:
             raise MalformedConstraintError(f"k must be positive, got {self.k}")
 
@@ -96,14 +112,24 @@ class CardinalityConstraint:
 
 @dataclass(frozen=True)
 class KnapsackConstraint:
+    """sum of w_j over S <= budget for finite w_j >= 0 and a finite budget
+    > 0, given as real numbers and stored as floats, the weights as a tuple."""
+
     weights: tuple
     budget: float
 
     def __post_init__(self):
-        if not 0 < self.budget < math.inf:
+        try:
+            weights = _floats(self.weights)
+        except TypeError:
+            raise MalformedConstraintError("weights must be a sequence of numbers") from None
+        (budget,) = _floats((self.budget,))
+        if not 0 < budget < math.inf:
             raise MalformedConstraintError("budget must be positive and finite")
-        if not all(0 <= w < math.inf for w in self.weights):
+        if not all(0 <= w < math.inf for w in weights):
             raise MalformedConstraintError("weights must be non-negative and finite")
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "budget", budget)
 
     @property
     def n(self):
@@ -116,26 +142,6 @@ class KnapsackConstraint:
 
     def is_feasible(self, S):
         return self.load(S) <= self.budget
-
-    def to_packing(self, budget=None, allowed=None):
-        """Rescale to packing form with A entries in [0,1] and b >= 1.
-
-        `budget` defaults to the knapsack's own and `allowed` to every
-        element that fits it; elements outside `allowed` get an all-zero
-        column. Returns (PackingConstraint, allowed ids). Preserves the
-        feasible family over the allowed elements exactly. Raises
-        UndefinedWidthError when every allowed weight is zero.
-        """
-        budget = self.budget if budget is None else budget
-        if allowed is None:
-            allowed = [j for j in range(self.n) if self.weights[j] <= budget]
-        maxw = max((self.weights[j] for j in allowed), default=0.0)
-        if maxw == 0:
-            raise UndefinedWidthError("no allowed knapsack element has a positive weight")
-        row = [0.0] * self.n
-        for j in allowed:
-            row[j] = self.weights[j] / maxw
-        return PackingConstraint([row], [budget / maxw]), allowed
 
 
 class PackingConstraint:
@@ -203,6 +209,7 @@ class Matroid:
 
 class UniformMatroid(Matroid):
     def __init__(self, k, n):
+        k = _whole(k)
         if k < 1 or k > n:
             raise MalformedConstraintError(f"uniform matroid needs 1 <= k <= n, got k={k}, n={n}")
         self.k = k
@@ -372,8 +379,7 @@ def parse_constraint(obj, n=None):
         if kind == "packing":
             return PackingConstraint(obj["A"], obj["b"])
         if kind == "knapsack":
-            weights = tuple(as_float(w) for w in obj["weights"])
-            return KnapsackConstraint(weights, as_float(obj["budget"]))
+            return KnapsackConstraint(obj["weights"], obj["budget"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise MalformedConstraintError(
             f"bad constraint object: {type(exc).__name__}: {exc}"

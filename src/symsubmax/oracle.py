@@ -234,7 +234,8 @@ class Oracle:
             # compare bit lengths first: 1 << n for a huge n would not fit
             if len(values).bit_length() - 1 != n or len(values) != 1 << n:
                 raise MalformedInstanceError(f"table has {len(values)} entries, expected 2^{n}")
-            self._table = np.asarray(values, dtype=np.float64)
+            # the array is the payload: the values are held once
+            self._payload = self._table = np.asarray(values, dtype=np.float64)
             if not np.isfinite(self._table).all():
                 raise MalformedInstanceError("table values must be finite")
         else:
@@ -657,7 +658,7 @@ def instance_to_dict(oracle):
             "n": hg.n,
             "edges": [{"members": sorted(m), "w": w} for m, w in hg.hyperedges],
         }
-    return {"type": "table", "n": oracle.n, "values": list(map(float, oracle._payload))}
+    return {"type": "table", "n": oracle.n, "values": oracle._table.tolist()}
 
 
 def load_instance(path):

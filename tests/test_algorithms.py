@@ -25,7 +25,7 @@ from symsubmax import (
 )
 from symsubmax.algorithms import ParameterError
 from symsubmax.constraints import MalformedConstraintError
-from symsubmax.oracle import EQ_TOL, InvalidSetError
+from symsubmax.oracle import EQ_TOL
 
 from conftest import bundled_oracles
 
@@ -230,8 +230,7 @@ def test_solvers_reject_a_constraint_over_another_ground_set(run):
 
 def test_mw_k3_knapsack_example(k3):
     kc = KnapsackConstraint((1.0, 1.0, 1.0), 2.0)
-    p, allowed = kc.to_packing()
-    t = mw_packing(k3, p, 0.5, allowed=allowed)
+    t = mw_packing(k3, kc, 0.5)
     assert t.final_set == (0,)
     assert t.final_value == 2.0
     # round 2 broke on non-positive marginals
@@ -327,8 +326,7 @@ def test_knapsack_star_example(star):
 def test_knapsack_large_budget_beats_plain_mw(k3):
     kc = KnapsackConstraint((1.0, 1.0, 1.0), 10.0)
     t = knapsack_enum(k3, kc)
-    p, allowed = kc.to_packing()
-    mw = mw_packing(graph_cut_oracle(k3._payload), p, 0.1, allowed=allowed)
+    mw = mw_packing(graph_cut_oracle(k3._payload), kc, 0.1)
     assert t.final_value >= mw.final_value
 
 
@@ -408,15 +406,6 @@ def test_report_dict_equals_asdict(traced):
         got = t.to_dict(include_rounds=traced)
         assert got == want, name
         assert json.dumps(got) == json.dumps(want), name
-
-
-def test_mw_rejects_allowed_ids_outside_the_ground_set():
-    # the scan's marginals reject an id before it can index a denominator
-    g = graph_cut_oracle(random_graph(5, 1.0, (1.0, 1.0), seed=0))
-    p = PackingConstraint(np.full((1, 5), 0.1), np.array([1.0]))
-    for bad in (5, -1, 1.0):
-        with pytest.raises(InvalidSetError):
-            mw_packing(g, p, 0.3, allowed=[0, bad])
 
 
 # -- the tie rule and the epsilon range ------------------------------------------

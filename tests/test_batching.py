@@ -119,11 +119,29 @@ def test_concurrent_eval_masks_counting():
     assert orc.query_count == 4 * 200 * (3 + BATCH_MIN)
 
 
-def _one_at_a_time(oracle, runs, window=None):
+def _one_at_a_time(oracle, runs):
+    """The reference driver: each run to its end before the next starts, one
+    eval_masks call a step; [(result, masks yielded)] in run order."""
+    out = []
     for steps in runs:
-        before = oracle.query_count
-        result = algorithms._drive(oracle, steps)
-        yield result, oracle.query_count - before
+        asked = 0
+        try:
+            masks = next(steps)
+            while True:
+                asked += len(masks)
+                masks = steps.send(oracle.eval_masks(masks))
+        except StopIteration as stop:
+            out.append((stop.value, asked))
+    return out
+
+
+def _with_reference_driver(call):
+    lockstep = algorithms._lockstep
+    algorithms._lockstep = _one_at_a_time
+    try:
+        return call()
+    finally:
+        algorithms._lockstep = lockstep
 
 
 NON_DYADIC = st.sampled_from([0.0, 0.1, 0.15, 0.2, 0.3, 0.35, 0.7, 1 / 3])
@@ -142,26 +160,30 @@ def knapsacks(draw):
     return orc, KnapsackConstraint(weights, budget), draw(st.sampled_from([0.1, 0.3]))
 
 
-@settings(max_examples=150)
-@given(knapsacks(), st.sampled_from([1, 2, algorithms.LOCKSTEP_WINDOW]))
-def test_lockstep_knapsack_enum_equals_one_run_at_a_time(case, window):
-    orc, kc, eps = case
-    lockstep = algorithms._lockstep
+def _check_against_reference(orc, kc, eps):
     orc.reset_queries()
-    algorithms._lockstep = lambda oracle, runs: lockstep(oracle, runs, window)
-    try:
-        got = knapsack_enum(orc, kc, eps)
-    finally:
-        algorithms._lockstep = lockstep
+    got = knapsack_enum(orc, kc, eps)
     got_queries = orc.query_count
     orc.reset_queries()
-    algorithms._lockstep = _one_at_a_time
-    try:
-        want = knapsack_enum(orc, kc, eps)
-    finally:
-        algorithms._lockstep = lockstep
+    want = _with_reference_driver(lambda: knapsack_enum(orc, kc, eps))
     assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
     assert got_queries == orc.query_count == want.total_queries
+    return got
+
+
+@settings(max_examples=150)
+@given(knapsacks())
+def test_lockstep_knapsack_enum_equals_one_run_at_a_time(case):
+    _check_against_reference(*case)
+
+
+def test_lockstep_runs_every_seed_of_a_large_knapsack_at_once():
+    # every pair fits: 1 + 24 + 276 = 301 seeds, all started together
+    n = 24
+    orc = graph_cut_oracle(random_graph(n, 0.3, (0.0, 2.0), seed=5))
+    weights = tuple(0.1 + 0.9 * ((7 * j) % n) / n for j in range(n))
+    got = _check_against_reference(orc, KnapsackConstraint(weights, 2.0), 0.3)
+    assert len(got.rounds) == 301
 
 
 def test_lockstep_covers_free_extension_and_repair():
@@ -170,12 +192,5 @@ def test_lockstep_covers_free_extension_and_repair():
     orc = graph_cut_oracle(random_graph(9, 0.5, (0.0, 2.0), seed=1))
     weights = (0.3, 0.15, 0.2, 0.3, 0.15, 0.2, 0.0, 0.35, 0.0)
     kc = KnapsackConstraint(weights, 0.7999999999999999)
-    got = knapsack_enum(orc, kc, 0.3)
-    lockstep = algorithms._lockstep
-    algorithms._lockstep = _one_at_a_time
-    try:
-        want = knapsack_enum(orc, kc, 0.3)
-    finally:
-        algorithms._lockstep = lockstep
-    assert got.to_dict() == want.to_dict()
+    got = _check_against_reference(orc, kc, 0.3)
     assert kc.is_feasible(got.final_set)

@@ -10,7 +10,10 @@ from symsubmax import (
     PackingConstraint,
     PartitionMatroid,
     UniformMatroid,
+    graph_cut_oracle,
+    mw_packing,
     parse_constraint,
+    random_graph,
 )
 from symsubmax.constraints import (
     MalformedConstraintError,
@@ -172,14 +175,18 @@ def test_exchange_bijection_random_bases_verify():
 
 
 def test_knapsack_normalization():
+    # mw_packing runs a knapsack as one row over the weights that fit the
+    # budget, each divided by the largest of them, against the budget
+    # divided by the same: here (1, 1/3, 1/3, 0) <= 1, whose width is 1
     kc = KnapsackConstraint((3.0, 1.0, 1.0, 9.0), 3.0)
-    p, allowed = kc.to_packing()
-    assert allowed == [0, 1, 2]  # weight 9 discarded
-    assert p.b[0] == 1.0  # budget / max surviving weight
-    assert list(p.A[0]) == [1.0, 1.0 / 3.0, 1.0 / 3.0, 0.0]
-    # feasibility preserved over allowed elements
-    for S in powerset(allowed):
-        assert kc.is_feasible(S) == p.is_feasible(S)
+    orc = graph_cut_oracle(random_graph(4, 1.0, (1.0, 1.0), seed=0))
+    t = mw_packing(orc, kc, 0.5)
+    assert (t.params["m"], t.params["width"]) == (1, 1.0)
+    first = t.rounds[0]
+    # the first round's weight is 1 / b = 1, so its denominator is the row entry
+    assert first.extras["denominator"] == kc.weights[first.selected] / 3.0
+    assert 3 not in t.final_set  # weight 9 discarded
+    assert kc.is_feasible(t.final_set)
 
 
 def test_constraint_files_round_trip():
@@ -222,6 +229,29 @@ def test_malformed_constraints_raise():
             PackingConstraint(A, b)
     with pytest.raises(MalformedConstraintError):
         KnapsackConstraint((1.0,), 0.0)
+    # the knapsack's numbers and the sizes k are checked on a direct call
+    # too; numpy numbers pass
+    for make in (
+        lambda: KnapsackConstraint((True, 1.0), 1.0),
+        lambda: KnapsackConstraint((1.0, 1.0), True),
+        lambda: KnapsackConstraint(("a",), 1.0),
+        lambda: KnapsackConstraint((1.0,), "1"),
+        lambda: KnapsackConstraint(1.0, 1.0),  # scalar weights
+        lambda: KnapsackConstraint((10**400,), 1.0),
+        lambda: PackingConstraint([[0.5]], [10**400]),
+        lambda: CardinalityConstraint(2.5),
+        lambda: CardinalityConstraint(2.0),
+        lambda: CardinalityConstraint(True),
+        lambda: CardinalityConstraint("2"),
+        lambda: UniformMatroid(True, 3),
+        lambda: UniformMatroid(1.5, 3),
+    ):
+        with pytest.raises(MalformedConstraintError):
+            make()
+    kc = KnapsackConstraint(np.array([1, 2]), np.int64(3))
+    assert kc.weights == (1.0, 2.0) and type(kc.budget) is float
+    assert CardinalityConstraint(np.int64(2)).k == 2
+    assert UniformMatroid(np.int64(2), 3).k == 2
     for bad in (
         {"type": "knapsack", "weights": [1.0, float("nan")], "budget": 1.0},
         {"type": "knapsack", "weights": [1.0, float("inf")], "budget": 1.0},

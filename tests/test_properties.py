@@ -211,10 +211,6 @@ def solver_runs(draw):
     knap = KnapsackConstraint(tuple(draw(st.lists(weights, min_size=n, max_size=n))), 2.5)
     half = n // 2
 
-    def mw(o):
-        packing, allowed = knap.to_packing()
-        return mw_packing(o, packing, eps, allowed=allowed)
-
     calls = {
         "greedy-card": lambda o: greedy_cardinality(o, k),
         "sample-greedy-card": lambda o: sample_greedy_cardinality(o, k, eps, seed=k),
@@ -222,7 +218,7 @@ def solver_runs(draw):
         "greedy-matroid-partition": lambda o: greedy_matroid(
             o, PartitionMatroid([range(half), range(half, n)], [1, 2]), eps
         ),
-        "mw-packing": mw,
+        "mw-packing": lambda o: mw_packing(o, knap, eps),
         "knapsack-enum": lambda o: knapsack_enum(o, knap, epsilon=eps),
     }
     return orc, calls[draw(st.sampled_from(sorted(calls)))]
