@@ -13,11 +13,19 @@ held unless a later one is larger by more than 1e-9 (EQ_TOL), so that
 analytically equal marginals that accumulated rounding still go to the lower
 id. The rule is a running one, not a band around the maximum: the values 0,
 0.8e-9 and 1.6e-9 select the third candidate. Three choices use another
-rule: knapsack_enum keeps the best seeded run by strict >, _free_extend_steps
-adds the first element with a positive marginal, and max_weight_base orders by
+rule: knapsack_enum keeps the best seeded run by strict >, _free_extend adds
+the first element with a positive marginal, and max_weight_base orders by
 exact descending weight, real before dummy, then ascending id. Delete visits
 elements in ascending id, and the sampled variant is driven by a seeded PRNG,
 so identical inputs produce identical traces.
+
+Every solver is a plain loop over the oracle, one run at a time, except
+knapsack_enum: its 1 + n + n(n-1)/2 seeded multiplicative-weights runs are
+the rows of one set of numpy arrays (_mw_rows), each round of all of them a
+few Oracle.eval_rows calls, and each row does mw_packing's arithmetic
+operation for operation, so its values, picks and queries are those of
+running it on its own. mw_packing itself stays scalar: one run has too few
+sets a round to pay for the arrays.
 """
 
 from __future__ import annotations
@@ -29,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constraints import ExtendedMatroid, KnapsackConstraint, UndefinedWidthError, check_ground_set
-from .oracle import EQ_TOL, _mask_of, added_masks
+from .oracle import EQ_TOL, _mask_of
 
 
 class ParameterError(ValueError):
@@ -86,16 +94,14 @@ class _Run:
 
     Given an oracle, the count is read off the oracle's counter; without
     one it is `asked`, which knapsack_enum keeps as the running sum of its
-    seeds' queries in seed order. Without `keep_rounds`, `round` records
-    nothing: knapsack_enum's seeded runs show no rounds.
+    seeds' queries in seed order.
     """
 
-    def __init__(self, oracle=None, keep_rounds=True):
+    def __init__(self, oracle=None):
         self._oracle = oracle
         self._start = 0 if oracle is None else oracle.query_count
         self.asked = 0
         self.rounds = []
-        self._keep_rounds = keep_rounds
 
     def _queries(self):
         if self._oracle is None:
@@ -103,8 +109,6 @@ class _Run:
         return self._oracle.query_count - self._start
 
     def round(self, index, selected, before, after, value, extras):
-        if not self._keep_rounds:
-            return
         before, after = tuple(sorted(before)), tuple(sorted(after))
         self.rounds.append(Round(index, selected, before, after, value, self._queries(), extras))
 
@@ -120,47 +124,6 @@ class _Run:
         )
 
 
-# -- Step generators -------------------------------------------------------------
-#
-# Delete, one multiplicative-weights run and one knapsack seed are written as
-# step generators: each step yields the list of bitmasks whose values it
-# needs and is sent back their values, one oracle query per mask, and the
-# generator's return value is the result. `_lockstep` runs them together, so
-# that one step of all of them is one batched `Oracle.eval_masks` call.
-
-
-def _lockstep(oracle, runs):
-    """Run a list of step generators together; return [(result, queries)] in
-    run order, `queries` being the number of masks the run yielded.
-
-    Every run starts at once. Each step sends every unfinished run the
-    values of the masks it yielded and answers the masks they all yield
-    next, in run order, with one eval_masks call.
-    """
-    out = [[None, 0] for _ in runs]
-    active = [(entry, steps, None) for entry, steps in zip(out, runs)]  # None: not started
-    values = []
-    while active:
-        batch, still = [], []
-        for entry, steps, span in active:
-            try:
-                masks = steps.send(values[span] if span else None)
-            except StopIteration as stop:
-                entry[0] = stop.value
-            else:
-                entry[1] += len(masks)
-                still.append((entry, steps, slice(len(batch), len(batch) + len(masks))))
-                batch += masks
-        if batch:
-            values = oracle.eval_masks(batch)
-        active = still
-    return [tuple(entry) for entry in out]
-
-
-def _drive(oracle, steps):
-    return _lockstep(oracle, [steps])[0][0]
-
-
 # -- Delete --------------------------------------------------------------------
 
 
@@ -172,24 +135,19 @@ def delete(oracle, S, fS=None, protected=frozenset()):
     the base value when fS is not supplied. The output S' satisfies
     f(S') >= f(S) and f(u | S' - u) >= 0 for every surviving visited u.
     """
-    return _drive(oracle, _delete_steps(oracle.n, S, fS, protected))
-
-
-def _delete_steps(n, S, fS=None, protected=frozenset()):
-    """Delete as a step generator over the ground set 0..n-1: one mask a step."""
     S = set(S)
     if not protected <= S:
         raise ParameterError("protected elements must be inside S")
-    mask = _mask_of(S, n)
+    _mask_of(S, oracle.n)  # every id is checked before any query
     if fS is None:
-        (fS,) = yield [mask]
+        fS = oracle.eval(S)
     for u in sorted(S - set(protected)):
-        bit = 1 << u if type(u) is int else _mask_of((u,), n)
-        (f_without,) = yield [mask ^ bit]
+        S.discard(u)
+        f_without = oracle.eval(S)
         if fS - f_without < 0:  # f(u | S - u) < 0
-            S.discard(u)
-            mask ^= bit
             fS = f_without
+        else:
+            S.add(u)
     return S, fS
 
 
@@ -332,56 +290,36 @@ def mw_packing(oracle, packing, epsilon):
     the constraint accepts it. Query cost <= n(2n + 2).
 
     `packing` is a PackingConstraint or a KnapsackConstraint. A knapsack is
-    run as one rescaled row (see _mw_steps), but the final set is judged and
-    repaired by the knapsack's own is_feasible, whose load can round across
-    the budget where the rescaled one does not.
+    one row: each weight that fits the budget over the largest of them,
+    against the budget over the same. That row's largest entry is exactly
+    1.0, so the width is its bound. The final set is judged and repaired by
+    the knapsack's own is_feasible, whose load can round across the budget
+    where the rescaled one does not.
     """
-    check_ground_set(packing, oracle.n)
+    n = oracle.n
+    check_ground_set(packing, n)
     _check_epsilon(epsilon)
-    run = _Run(oracle)
-    S, fS, params, warnings = _drive(oracle, _mw_steps(oracle.n, packing, epsilon, run))
-    return run.trace("mw-packing", params, S, fS, warnings)
-
-
-def _mw_steps(n, constraint, epsilon, run, start=frozenset(), allowed=None, residual=None):
-    """mw_packing's run as a step generator over the ground set 0..n-1,
-    recording its rounds in `run`; returns (S, f(S), params, warnings).
-
-    The run begins at `start`, never deletes it, and only considers
-    candidates in `allowed` (every element when None). A knapsack is one
-    row: each weight in `allowed` (by default, those that fit the budget)
-    over the largest of them, against `residual` (the budget) over the same.
-    That row's largest entry is exactly 1.0, so the width is its bound.
-    """
-    if isinstance(constraint, KnapsackConstraint):
-        weights = constraint.weights
-        if residual is None:
-            residual = constraint.budget
-            allowed = [j for j in range(n) if weights[j] <= residual]
+    if isinstance(packing, KnapsackConstraint):
+        weights = packing.weights
+        allowed = [j for j in range(n) if weights[j] <= packing.budget]
         maxw = max((weights[j] for j in allowed), default=0.0)
         if maxw == 0:
             raise UndefinedWidthError("no allowed knapsack element has a positive weight")
         row = [0.0] * n
         for j in allowed:
             row[j] = weights[j] / maxw
-        A, b = [row], [residual / maxw]
+        A, b = [row], [packing.budget / maxw]
         W = b[0]
     else:
-        A, b = constraint.A, constraint.b
-        W = constraint.width()  # raises UndefinedWidthError on all-zero A
-    try:
-        lam = math.exp(epsilon * W)  # inf when W is, from a subnormal entry
-    except OverflowError:
-        lam = math.inf
-    if not 1 < lam < math.inf:
-        raise ParameterError(
-            "lambda = e^(epsilon * width) is not a finite float above 1"
-            f" for epsilon = {epsilon:.6g} and width = {W:.6g}"
-        )
-    universe = set(range(n)) if allowed is None else set(allowed)
+        A, b = packing.A, packing.b
+        W = packing.width()  # raises UndefinedWidthError on all-zero A
+        allowed = range(n)
+    lam = _lambda(epsilon, W)
+    run = _Run(oracle)
+    universe = set(allowed)
     added = []  # the selected elements, in order
-    S = set(start)
-    (fS,) = yield [_mask_of(S, n)]
+    S = set()
+    fS = oracle.eval(S)
     w = [1.0 / bi for bi in b]
     warnings = []
     # eps^2 underflows to 0 below about 1.6e-162
@@ -397,8 +335,7 @@ def _mw_steps(n, constraint, epsilon, run, start=frozenset(), allowed=None, resi
             break
         r += 1
         scan = sorted(universe - S)
-        values = yield added_masks(scan, S, n)
-        gains = [value - fS for value in values]
+        gains = oracle.marginals(scan, S, fS)
         # sum_i A_ij w_i for each j, one rounded product and one rounded sum
         # at a time in ascending i, as _ascending_dot adds
         denoms = [A[0][j] * w[0] for j in scan]
@@ -415,8 +352,8 @@ def _mw_steps(n, constraint, epsilon, run, start=frozenset(), allowed=None, resi
             run.round(r, None, S, S, fS, {"break": "no positive marginal", "beta": beta})
             break
         added.append(j)
-        before = set(S) | {j}
-        S, fS = yield from _delete_steps(n, before, fS + gain, start)
+        before = S | {j}
+        S, fS = delete(oracle, before, fS + gain)
         # numpy's power, not ** or math.pow: numpy's power loop and the C
         # library's pow round some (lambda, x) apart in the last bit, and the
         # traces are pinned to numpy's. numpy picks its loop by CPU, so these
@@ -425,16 +362,30 @@ def _mw_steps(n, constraint, epsilon, run, start=frozenset(), allowed=None, resi
         w = [wi * g for wi, g in zip(w, growth)]
         extras = {"beta": beta, "denominator": denoms[pick], "gain": gain}
         run.round(r, j, before, S, fS, extras)
-    if not constraint.is_feasible(S):
+    if not packing.is_feasible(S):
         for j in reversed(added):
             if j in S:
                 S.discard(j)
                 warnings.append(f"dropped last added element {j} to restore feasibility")
-                if constraint.is_feasible(S):
+                if packing.is_feasible(S):
                     break
-        (fS,) = yield [_mask_of(S, n)]
+        fS = oracle.eval(S)
     params = {"n": n, "m": len(A), "epsilon": epsilon, "lambda": lam, "width": W}
-    return S, fS, params, warnings
+    return run.trace("mw-packing", params, S, fS, warnings)
+
+
+def _lambda(epsilon, W):
+    """lambda = e^(eps * W), which must be a finite float above 1."""
+    try:
+        lam = math.exp(epsilon * W)  # inf when W is, from a subnormal entry
+    except OverflowError:
+        lam = math.inf
+    if not 1 < lam < math.inf:
+        raise ParameterError(
+            "lambda = e^(epsilon * width) is not a finite float above 1"
+            f" for epsilon = {epsilon:.6g} and width = {W:.6g}"
+        )
+    return lam
 
 
 def _ascending_dot(xs, w):
@@ -454,77 +405,214 @@ def knapsack_enum(oracle, knapsack, epsilon=0.1):
 
     Evaluates every feasible set of size <= 2 directly; for each such seed T
     it additionally greedily extends T over the elements no heavier than any
-    seed member (and fitting the residual budget) with mw_packing's run
-    started at T, which never deletes T and returns a set the knapsack
-    accepts. Returns the best set found. Query budget O(n^4).
+    seed member and fitting the residual budget, with mw_packing's run on
+    that knapsack started at T, which never deletes T and returns a set the
+    knapsack accepts. Returns the best set found. Query budget O(n^4).
 
-    The seeds' runs are step generators driven in lockstep (`_lockstep`),
-    and their results are taken in seed order, so the trace and the query
-    count are those of running the seeds one after another.
+    Each seed's run is one row of a set of numpy arrays (_knapsack_rows,
+    _mw_rows), and the seeds' results are folded in seed order, so the trace
+    and the query count are those of running the seeds one after another.
     """
     n = oracle.n
     check_ground_set(knapsack, n)
     _check_epsilon(epsilon)
-    weights = knapsack.weights
     budget = knapsack.budget
     run = _Run()
     best_set, best_val = frozenset(), oracle.eval(())
     run.asked = 1
-    singles = [j for j in range(n) if weights[j] <= budget]
-    seeds = [frozenset()]
-    seeds += [frozenset({j}) for j in singles]
-    seeds += [
-        frozenset({i, j})
-        for ii, i in enumerate(singles)
-        for j in singles[ii + 1 :]
-        if knapsack.is_feasible((i, j))
-    ]
-    runs = _lockstep(oracle, [_seed_steps(n, knapsack, epsilon, T, best_val) for T in seeds])
-    for idx, (T, ((seed_val, cand_set, cand_val), queries)) in enumerate(zip(seeds, runs)):
-        run.asked += queries
-        if seed_val > best_val:
-            best_set, best_val = T, seed_val
-        if cand_val > best_val:
-            best_set, best_val = cand_set, cand_val
-        run.round(idx, sorted(T), T, cand_set, cand_val, {"best_so_far": best_val})
+    seeds, seed_vals, cand_sets, cand_vals, queries = _knapsack_rows(
+        oracle, knapsack, epsilon, best_val
+    )
+    for idx, T in enumerate(seeds):
+        run.asked += queries[idx]
+        if seed_vals[idx] > best_val:
+            best_set, best_val = T, seed_vals[idx]
+        if cand_vals[idx] > best_val:
+            best_set, best_val = cand_sets[idx], cand_vals[idx]
+        run.round(idx, sorted(T), T, cand_sets[idx], cand_vals[idx], {"best_so_far": best_val})
     params = {"n": n, "budget": budget, "epsilon": epsilon}
     return run.trace("knapsack-enum", params, best_set, best_val)
 
 
-def _seed_steps(n, knapsack, epsilon, T, f_empty):
-    """knapsack_enum's work on one seed T as a step generator: f(T) (f_empty
-    stands for the empty seed's), then the run that extends T, if any
-    element may join it. Returns (f(T), the extended set, its value)."""
-    seed_val = (yield [_mask_of(T, n)])[0] if T else f_empty
-    weights = knapsack.weights
-    residual = knapsack.budget - knapsack.load(T)
-    cap = min((weights[t] for t in T), default=math.inf)
-    allowed = [j for j in range(n) if j not in T and weights[j] <= cap and weights[j] <= residual]
-    if not allowed:
-        return seed_val, T, seed_val
-    if not any(weights[j] for j in allowed):
-        # every allowed element has zero weight: extend freely
-        cand_set, cand_val = yield from _free_extend_steps(n, T, seed_val, allowed)
-        return seed_val, cand_set, cand_val
-    run = _Run(keep_rounds=False)
-    S, fS, _, _ = yield from _mw_steps(n, knapsack, epsilon, run, T, allowed, residual)
-    return seed_val, frozenset(S), fS
+def _knapsack_rows(oracle, knapsack, epsilon, f_empty):
+    """Every seed of knapsack_enum and what its run makes of it.
+
+    The seeds are the empty set, each element that fits the budget, and each
+    pair of those that fits, in that order, the pairs in ascending (i, j).
+    f_empty stands for the empty seed's value. Returns, per seed in that
+    order, the tuple T, f(T), the extended set as a sorted tuple, its value
+    and the queries the seed made.
+
+    A seed keeps T when no element is allowed to join it, takes the free
+    extension when every allowed element weighs 0, and otherwise starts one
+    row of _mw_rows. The seeds' loads, residuals and allowed sets are taken
+    for all of them at once, each sum added in ascending id from 0.0 as
+    knapsack.load adds it.
+    """
+    n = oracle.n
+    budget = knapsack.budget
+    w = np.array(knapsack.weights, dtype=np.float64)
+    w0 = w + 0.0  # -0.0 as 0.0, as load's 0.0 + w stores it
+    singles = np.flatnonzero(w <= budget)
+    i, j = (singles[k] for k in np.triu_indices(len(singles), 1))
+    pair_load = w0[i] + w0[j]
+    fits = pair_load <= budget
+    i, j, pair_load = i[fits], j[fits], pair_load[fits]
+    seeds = [()] + [(u,) for u in singles.tolist()] + list(zip(i.tolist(), j.tolist()))
+    R = len(seeds)
+    T = np.zeros((R, n), dtype=bool)
+    T[np.arange(1, 1 + len(singles)), singles] = True
+    pairs = np.arange(1 + len(singles), R)
+    T[pairs, i] = T[pairs, j] = True
+    residual = budget - np.concatenate(([0.0], w0[singles], pair_load))
+    cap = np.concatenate(([np.inf], w[singles], np.minimum(w[i], w[j])))
+    allowed = ~T & (w <= cap[:, None]) & (w <= residual[:, None])
+    maxw = np.where(allowed, w, -np.inf).max(axis=1, initial=-np.inf)
+    priced = np.flatnonzero(maxw > 0)
+    b = residual[priced] / maxw[priced]
+    lam = np.array([_lambda(epsilon, W) for W in b.tolist()])
+
+    # f(T) of every nonempty seed, then f(T) again for each run started at T
+    values = oracle.eval_rows(np.concatenate((T[1:], T[priced])))
+    seed_vals = [f_empty, *values[: R - 1].tolist()]
+    cands, cand_vals = list(seeds), list(seed_vals)
+    queries = [0] + [1] * (R - 1)
+    if len(priced):
+        S, fS = T[priced], values[R - 1 :]
+        rows = np.where(allowed[priced], w / maxw[priced, None], 0.0)
+        asked = _mw_rows(oracle, knapsack, S, fS, allowed[priced], rows, b, lam)
+        members = np.nonzero(S)[1].tolist()  # row by row, in ascending id
+        sizes = np.count_nonzero(S, axis=1).tolist()
+        lo = 0
+        for idx, size, value, q in zip(priced.tolist(), sizes, fS.tolist(), asked.tolist()):
+            cands[idx] = tuple(members[lo : lo + size])
+            cand_vals[idx] = value
+            queries[idx] += 1 + q
+            lo += size
+    for idx in np.flatnonzero(allowed.any(axis=1) & ~(maxw > 0)).tolist():
+        # every allowed element weighs 0: extend freely
+        before = oracle.query_count
+        S, fS = _free_extend(oracle, seeds[idx], seed_vals[idx], np.flatnonzero(allowed[idx]))
+        cands[idx], cand_vals[idx] = tuple(sorted(S)), fS
+        queries[idx] += oracle.query_count - before
+    return seeds, seed_vals, cands, cand_vals, queries
 
 
-def _free_extend_steps(n, T, fT, allowed):
-    """Add zero-weight elements while any has a positive marginal, with the
-    same lowest-id selection and Delete policy as the priced loop."""
-    S, fS = set(T), fT
-    remaining = set(allowed)
-    while remaining - S:
-        picked, gain = None, 0.0
-        for j in sorted(remaining - S):
-            (value,) = yield added_masks((j,), S, n)
-            marg = value - fS
-            if marg > 0:
-                picked, gain = j, marg
-                break
-        if picked is None:
+def _mw_rows(oracle, knapsack, S, fS, allowed, rows, b, lam):
+    """mw_packing's run on a one-row knapsack, for every row of S at once.
+
+    Row r's run starts at the set S[r] of value fS[r], never deletes it,
+    takes candidates from allowed[r], and weighs element j by rows[r, j]
+    against the bound b[r], with lambda lam[r]. S and fS are updated in
+    place to the runs' final sets and values; returns the queries each row
+    made.
+
+    Each round of the live rows evaluates every (row, candidate) set with
+    one Oracle.eval_rows call, takes each row's pick with the running tie
+    rule, runs the rows' Delete sweeps together (one eval_rows call per
+    element visited) and updates their weights with one np.power, which
+    gives every position of an array the bits of a one-element call. Every
+    row does mw_packing's arithmetic operation for operation, so its values,
+    picks and queries are those of the run on its own. A final set over the
+    knapsack's budget drops its most recently added elements first, and
+    only those rows make the one more query for the repaired set's value.
+    """
+    R, n = S.shape
+    protected = S.copy()
+    w = 1.0 / b
+    added_at = np.zeros((R, n), dtype=np.int64)  # the round j was last added in
+    asked = np.zeros(R, dtype=np.int64)
+    live = np.arange(R)
+    r = 0
+    while True:
+        scan = allowed[live] & ~S[live]
+        go = scan.any(axis=1) & (b[live] * w[live] <= lam[live])
+        live, scan = live[go], scan[go]
+        if not len(live):
             break
-        S, fS = yield from _delete_steps(n, S | {picked}, fS + gain, frozenset(T))
-    return frozenset(S), fS
+        r += 1
+        at, cols = np.nonzero(scan)  # row by row, candidates in ascending id
+        who = live[at]
+        sets = S[who]
+        sets[np.arange(len(at)), cols] = True
+        gains = oracle.eval_rows(sets) - fS[who]
+        asked[live] += np.count_nonzero(scan, axis=1)
+        denoms = rows[who, cols] * w[who]
+        # a zero load gives +inf or -inf by the sign of the gain
+        with np.errstate(divide="ignore", invalid="ignore"):
+            densities = np.where(
+                denoms != 0.0, gains / denoms, np.where(gains > 0, np.inf, -np.inf)
+            )
+        pick = _argmax_groups(densities, at)
+        j, gain = cols[pick], gains[pick]
+        grow = gain > 0
+        live, j, gain = live[grow], j[grow], gain[grow]
+        S[live, j] = True
+        fS[live] += gain
+        added_at[live, j] = r
+        # Delete, every row's sweep of S - T in ascending id at once
+        sweep = S[live] & ~protected[live]
+        for u in np.flatnonzero(sweep.any(axis=0)).tolist():
+            who = live[sweep[:, u]]
+            sets = S[who]
+            sets[:, u] = False
+            f_without = oracle.eval_rows(sets)
+            asked[who] += 1
+            drop = fS[who] - f_without < 0  # f(u | S - u) < 0
+            S[who[drop], u] = False
+            fS[who[drop]] = f_without[drop]
+        w[live] *= np.power(lam[live], rows[live, j] / b[live])
+    # the knapsack's load, added in ascending id from 0.0
+    loads = np.cumsum(np.where(S, np.array(knapsack.weights) + 0.0, 0.0), axis=1)[:, -1]
+    over = np.flatnonzero(~(loads <= knapsack.budget))
+    for r in over.tolist():
+        kept = set(np.flatnonzero(S[r]).tolist())
+        latest = np.where(S[r], added_at[r], 0)  # 0 for the seed's members
+        for j in np.argsort(-latest, kind="stable").tolist():
+            if not latest[j]:
+                break
+            kept.discard(j)
+            S[r, j] = False
+            if knapsack.is_feasible(kept):
+                break
+    if len(over):
+        fS[over] = oracle.eval_rows(S[over])
+        asked[over] += 1
+    return asked
+
+
+def _argmax_groups(values, group):
+    """The flat index _argmax picks within each group of `values`, where
+    `group` numbers the groups 0, 1, ... and each group is contiguous.
+
+    Where a group's first maximum is larger than every earlier value in it
+    by more than EQ_TOL, the running rule ends there; the other groups,
+    which hold a near-tie, are run through _argmax itself.
+    """
+    starts = np.flatnonzero(np.r_[True, group[1:] != group[:-1]])
+    top = np.maximum.reduceat(values, starts)[group]
+    hits = np.flatnonzero(values == top)
+    first = hits[np.r_[True, group[hits[1:]] != group[hits[:-1]]]]
+    early = np.arange(len(values)) < first[group]
+    ends = np.r_[starts[1:], len(values)]
+    for g in np.unique(group[early & ~(top > values + EQ_TOL)]).tolist():
+        lo, hi = starts[g], ends[g]
+        first[g] = lo + _argmax(values[lo:hi].tolist())
+    return first
+
+
+def _free_extend(oracle, T, fT, allowed):
+    """Add zero-weight elements while any has a positive marginal, the first
+    such in ascending id, each addition followed by Delete, which never
+    removes T."""
+    S, fS = set(T), fT
+    while True:
+        for j in allowed.tolist():
+            if j in S:
+                continue
+            gain = oracle.marginal(j, S, fS)
+            if gain > 0:
+                break
+        else:
+            return S, fS
+        S, fS = delete(oracle, S | {j}, fS + gain, frozenset(T))

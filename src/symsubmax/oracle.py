@@ -220,6 +220,7 @@ class Oracle:
         self._lock = threading.Lock()
         self._table = None
         self._edge_words = self._edge_weights = None  # built by the first cut batch
+        self._incidence = None  # built by the first eval_rows call on a cut
         if kind == "graph-cut":
             g = payload
             self._eu = np.array([e[0] for e in g.edges], dtype=np.int64)
@@ -234,8 +235,10 @@ class Oracle:
             # compare bit lengths first: 1 << n for a huge n would not fit
             if len(values).bit_length() - 1 != n or len(values) != 1 << n:
                 raise MalformedInstanceError(f"table has {len(values)} entries, expected 2^{n}")
-            # the array is the payload: the values are held once
-            self._payload = self._table = np.asarray(values, dtype=np.float64)
+            # the array is the payload: the values are held once, in a
+            # read-only copy, so no caller can change them afterwards
+            self._payload = self._table = np.array(values, dtype=np.float64)
+            self._table.flags.writeable = False
             if not np.isfinite(self._table).all():
                 raise MalformedInstanceError("table values must be finite")
         else:
@@ -309,6 +312,54 @@ class Oracle:
             return self._table[masks].tolist()
         return self._cut_values(masks)
 
+    def eval_rows(self, rows):
+        """Return f(S) for the set S of each row of `rows` as a float64 array,
+        counting len(rows) queries.
+
+        `rows` is a 2-D bool array with n columns; row r holds i where
+        rows[r, i] is True. Each value is the one eval returns for that set,
+        bit for bit. Any other argument raises InvalidSetError and the call
+        counts nothing. A built table answers with one gather; a cut counts
+        each edge's members in every row (a graph edge is a 2-member edge),
+        an edge being cut where that count is neither 0 nor its size, and
+        adds the cut edges' weights in edge order by one sequential
+        accumulate, as _cut_values does, in chunks of about BATCH_CELLS
+        (row, edge) cells.
+        """
+        if not (
+            isinstance(rows, np.ndarray)
+            and rows.dtype == bool
+            and rows.ndim == 2
+            and rows.shape[1] == self.n
+        ):
+            raise InvalidSetError(f"rows must be a 2-D bool array with {self.n} columns")
+        with self._lock:
+            self._queries += len(rows)
+        if self._table is not None:
+            return self._table[rows @ (1 << np.arange(self.n, dtype=np.int64))]
+        if self._incidence is None:
+            if self.kind == "graph-cut":
+                edges = [((u, v), w) for u, v, w in self._payload.edges]
+            else:
+                edges = self._payload.hyperedges
+            incidence = np.zeros((self.n, len(edges)))
+            for e, (members, _) in enumerate(edges):
+                incidence[list(members), e] = 1.0
+            sizes = incidence.sum(axis=0)
+            weights = np.array([w for _, w in edges], dtype=np.float64) + 0.0
+            self._incidence = incidence, sizes, weights
+        incidence, sizes, weights = self._incidence
+        if not len(weights):
+            return np.zeros(len(rows))
+        out = np.empty(len(rows))
+        step = max(1, BATCH_CELLS // len(weights))
+        for lo in range(0, len(rows), step):
+            # exact small integers: the products and sums are 0s and 1s
+            count = rows[lo : lo + step] @ incidence
+            cut = (count > 0) & (count < sizes)
+            out[lo : lo + step] = np.cumsum(cut * weights, axis=1)[:, -1]
+        return out
+
     def _value(self, mask):
         # a built table and direct evaluation agree bit for bit: both add the
         # weights of the cut edges in edge order
@@ -368,12 +419,13 @@ class Oracle:
         """All 2^n values as a float array indexed by subset bitmask.
 
         Never counts queries. Refuses n > TABLE_MAX_N. Once built, the
-        table also answers eval and marginal.
+        table also answers eval and marginal. The array is read-only.
         """
         if self.n > TABLE_MAX_N:
             raise InvalidSetError(f"n={self.n} too large for full table (cap {TABLE_MAX_N})")
         if self._table is None:
             self._table = self._build_table()
+            self._table.flags.writeable = False
         return self._table
 
     def _build_table(self):

@@ -97,6 +97,23 @@ def test_table_index_rule():
     assert orc.eval({1}) == 7.0
 
 
+def test_table_oracle_owns_a_read_only_copy():
+    values = np.zeros(4)
+    orc = table_oracle(2, values)
+    values[1] = 5.0
+    assert orc.eval({0}) == 0.0
+    with pytest.raises(ValueError):
+        orc.value_table()[1] = 5.0
+    assert orc.eval({0}) == 0.0
+
+
+def test_built_value_table_is_read_only(k3):
+    vals = k3.value_table()
+    with pytest.raises(ValueError):
+        vals[0] = 1.0
+    assert k3.eval(()) == 0.0
+
+
 def test_marginal_examples(k3):
     fS = k3.eval({0})
     assert k3.marginal(1, {0}, fS) == 0.0  # f({0,1}) = 2
